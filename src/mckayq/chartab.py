@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .cyclotomic import (
     Cyclotomic,
+    MAX_CONDUCTOR,
     CyclotomicSyntaxError,
     _reduction_rows,
     euler_phi,
@@ -121,7 +122,15 @@ class CharacterTable:
         return eng.row_lookup.get(key)
 
     def dual_index(self, i: int) -> int:
-        j = self.row_index([v.conjugate() for v in self.characters[i]])
+        """Index of the complex conjugate of row i.
+
+        Computed on the table engine: the conjugated exponent dicts of the
+        row (`conj_vals`) are reduced and looked up in `row_lookup`, with no
+        Cyclotomic arithmetic.  `ClassFunction.conjugate` stays the
+        Cyclotomic route to the same row.
+        """
+        eng = self._engine()
+        j = eng.row_lookup.get(tuple(eng.reduce_dict(d) for d in eng.conj_vals[i]))
         if j is None:
             raise ValueError("table is not closed under complex conjugation")
         return j
@@ -203,14 +212,15 @@ class ClassFunction:
 # canonical power-basis coordinates.  Everything stays exact.
 
 
+def _common_conductor(rows) -> int:
+    """Least common multiple of the conductors of every value."""
+    return math.lcm(*(v.conductor for row in rows for v in row))
+
+
 class _TableEngine:
     def __init__(self, table: CharacterTable):
         self.table = table
-        E = 1
-        for row in table.characters:
-            for v in row:
-                E = E * v.conductor // math.gcd(E, v.conductor)
-        self.exponent = E
+        self.exponent = E = _common_conductor(table.characters)
         self.phi = euler_phi(E)
         self.red = _reduction_rows(E)
         r = table.n_classes
@@ -324,14 +334,31 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
 
 def decompose(f: ClassFunction) -> tuple[int, ...]:
     """Multiplicities of f in the irreducible basis; NotACharacter if any
-    multiplicity is negative or non-integral."""
+    multiplicity is negative or non-integral.
+
+    Computed on the table engine: f's values are embedded in the table's
+    field Q(zeta_E), and each multiplicity is one exact `row_inner`
+    against the conjugated row `conj_vals[i]`.  A value outside Q(zeta_E)
+    raises NotACharacter at once: every character of the table lies in
+    that field, so some multiplicity of such an f is not an integer.
+    `inner_product` stays the independent route over Cyclotomic objects.
+    """
     t = f.table
+    eng = t._engine()
+    for c, v in enumerate(f.values):
+        if eng.exponent % v.conductor:
+            raise NotACharacter(
+                f"value {v} at class {c + 1} is not in Q(zeta_{eng.exponent})")
+    vals = [eng._embed(v) for v in f.values]
     out = []
     for i in range(t.n_classes):
-        m = inner_product(f, t.irreducible(i))
-        if not m.is_rational or m.to_rational().denominator != 1 or m.to_rational() < 0:
+        coords = eng.row_inner(vals, eng.conj_vals[i])
+        q = eng.rational_of_coords(coords)
+        m = None if q is None else q / t.order
+        if m is None or m.denominator != 1 or m < 0:
+            m = Cyclotomic(eng.exponent, coords) * Fraction(1, t.order)
             raise NotACharacter(f"multiplicity of row {i + 1} is {m}")
-        out.append(int(m.to_rational()))
+        out.append(int(m))
     return tuple(out)
 
 
@@ -624,7 +651,10 @@ def table_to_json(t: CharacterTable) -> dict:
 
 def table_from_json(data, force: bool = False) -> CharacterTable:
     """Build a table from its JSON form; verification failures raise
-    TableValidationError unless force is set."""
+    TableValidationError unless force is set.  The report of that one
+    verification is kept on the table as `verification`.  Values whose
+    conductors have a common multiple above MAX_CONDUCTOR are rejected
+    before the table engine is built."""
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
@@ -645,9 +675,14 @@ def table_from_json(data, force: bool = False) -> CharacterTable:
         if isinstance(ex, TableFormatError):
             raise
         raise TableFormatError(f"malformed table JSON: {ex}") from ex
+    E = _common_conductor(t.characters)
+    if E > MAX_CONDUCTOR:
+        raise TableFormatError(
+            f"the table's values need conductor {E}, above {MAX_CONDUCTOR}")
     report = verify_table(t)
     if not report.all_pass and not force:
         raise TableValidationError(report)
+    t.verification = report
     return t
 
 

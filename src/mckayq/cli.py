@@ -24,23 +24,10 @@ from .chartab import (
     render_table_text,
     table_from_json,
     table_to_json,
-    verify_table,
 )
-from .galois import solvability
 from .mckay import InternalInconsistency, McKayQuiver
-from .obstructions import mckay_obstruction_battery
-from .quiver import (
-    Quiver,
-    QuiverFormatError,
-    ade_classify,
-    char_poly,
-    is_strongly_connected,
-    reduced_weight_vector,
-    strongly_connected_components,
-    to_dot,
-    weakly_connected_components,
-)
-from .polynomials import factor_over_Q
+from .obstructions import QuiverAnalysis, mckay_obstruction_battery
+from .quiver import Quiver, QuiverFormatError, ade_classify, to_dot
 
 
 def _json_text(obj) -> str:
@@ -134,26 +121,35 @@ def cmd_quiver(args) -> int:
 
 
 def _analyze_report(q: Quiver, prime_budget: int) -> dict:
+    """The analyze report, with the battery's report embedded.
+
+    One QuiverAnalysis serves the report and the battery, so the strong
+    and weak components, the reduced weightings, the characteristic
+    polynomials, their factorizations and each factor's witness search
+    are computed once.  On a weakly connected quiver the battery's one
+    component is the whole quiver, whose polynomial and verdict the
+    report has already computed.
+    """
+    a = QuiverAnalysis(q, prime_budget)
     components = []
-    for comp in weakly_connected_components(q):
-        sub = q.induced(comp)
+    for comp in a.weak_components:
+        sub = a.induced(comp)
         components.append({
             "vertices": [v + 1 for v in comp],
             "adjacency": [list(r) for r in sub.adjacency],
             "ade": ade_classify(sub),
         })
     weightings = []
-    for comp in strongly_connected_components(q):
-        sub = q.induced(comp)
-        rw = reduced_weight_vector(sub) if is_strongly_connected(sub) else None
+    for comp in a.strong_components:
+        rw = a.weighting(comp)
         weightings.append({
             "vertices": [v + 1 for v in comp],
             "k": None if rw is None else rw.k,
             "weights": None if rw is None else list(rw.weights),
         })
-    cp = char_poly(q)
+    cp = a.char_poly(a.all_vertices)
     factors: list[list] = []
-    for g in factor_over_Q(cp):
+    for g in a.factors(cp):
         if factors and factors[-1][0] == str(g):
             factors[-1][1] += 1
         else:
@@ -165,8 +161,8 @@ def _analyze_report(q: Quiver, prime_budget: int) -> dict:
         "weightings": weightings,
         "char_poly": str(cp),
         "factorization": [{"factor": f, "multiplicity": m} for f, m in factors],
-        "solvability": solvability(cp, prime_budget).to_json(),
-        "battery": mckay_obstruction_battery(q, prime_budget).to_json(),
+        "solvability": a.solvability(cp).to_json(),
+        "battery": mckay_obstruction_battery(q, prime_budget, analysis=a).to_json(),
     }
 
 
@@ -214,8 +210,7 @@ def cmd_check_mckay(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.table_file, encoding="utf-8") as fh:
-        t = table_from_json(fh.read(), force=True)
-    report = verify_table(t)
+        report = table_from_json(fh.read(), force=True).verification
     _emit(args, {"text": str(report) + "\n",
                  "json": _json_text(report.to_json())})
     return 0 if report.all_pass else 1

@@ -6,6 +6,7 @@ cyclotomic polynomial.  Every operation re-minimizes the conductor, so
 equality, hashing and printing are canonical.  No floating point.
 
 Text form follows the E(n) grammar: E(12)^7-E(12)^5, 1/2*E(4)+3, etc.
+Parsed conductors are bounded by MAX_CONDUCTOR.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 Rational = Fraction
+
+# Largest conductor the parser accepts, for E(n) and for the value as a
+# whole.  Arithmetic in Q(zeta_n) keeps n x phi(n) reduction rows: at the
+# largest prime below this bound, E(1021), they add about 6.5 MB and 20 ms;
+# E(2048) adds 15 MB, and E(100003) would need about 10^10 entries.
+MAX_CONDUCTOR = 1024
 
 
 class NotRational(ValueError):
@@ -529,6 +536,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.lcm = 1  # of every E(n) read so far
 
     def error(self, message: str, pos: int | None = None):
         raise CyclotomicSyntaxError(message, self.pos if pos is None else pos)
@@ -577,6 +585,14 @@ class _Parser:
         if self.peek() == "-":
             self.pos += 1
             return -self.factor()
+        if self.peek() == "E":
+            # E(n)^k is the root of unity zeta_n^k itself, for any integer k
+            n = self.conductor()
+            k = 1
+            if self.peek() == "^":
+                self.pos += 1
+                k = self.integer()
+            return Cyclotomic.zeta(n, k)
         value = self.primary()
         if self.peek() == "^":
             self.pos += 1
@@ -590,15 +606,6 @@ class _Parser:
             value = self.expr()
             self.take(")")
             return value
-        if ch == "E":
-            self.pos += 1
-            self.take("(")
-            npos = self.pos
-            n = self.integer()
-            if n < 1:
-                self.error("E(n) needs n >= 1", npos)
-            self.take(")")
-            return E(n)
         if ch.isdigit():
             num = self.integer()
             if self.peek() == "/":
@@ -611,9 +618,27 @@ class _Parser:
             return Cyclotomic.from_rational(num)
         self.error("expected a number, E(n) or '('")
 
+    def conductor(self) -> int:
+        """Read E(n) and return n, bounded before anything is built for it."""
+        self.pos += 1
+        self.take("(")
+        npos = self.pos
+        n = self.integer()
+        if n < 1:
+            self.error("E(n) needs n >= 1", npos)
+        self.lcm = _lcm(self.lcm, n)
+        if self.lcm > MAX_CONDUCTOR:
+            self.error(f"conductor {self.lcm} is above {MAX_CONDUCTOR}", npos)
+        self.take(")")
+        return n
+
 
 def parse_cyclotomic(text: str) -> Cyclotomic:
-    """Parse the E(n) grammar; raises CyclotomicSyntaxError with a position."""
+    """Parse the E(n) grammar; raises CyclotomicSyntaxError with a position.
+
+    E(n)^k evaluates directly to the root of unity zeta_n^k.  An n, or a
+    conductor of the whole value, above MAX_CONDUCTOR is rejected at the
+    position of that n, before any arithmetic in Q(zeta_n) is set up."""
     p = _Parser(text)
     value = p.expr()
     p.skip_ws()

@@ -137,16 +137,25 @@ def _witness_for_factor(f: IntPolynomial, prime_budget: int):
     return None
 
 
-def solvability(f: IntPolynomial, prime_budget: int = 10000) -> SolvabilityVerdict:
+def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
+                factors=None, witnesses=None) -> SolvabilityVerdict:
     """Decide solvability of the Galois group of f where possible.
 
     Verdicts: "solvable" when every irreducible factor has degree <= 4;
     "not_solvable" when some factor yields a certificate within the
     budget; "unknown" otherwise.  Raising the budget can only move
-    "unknown" to "not_solvable"."""
+    "unknown" to "not_solvable".
+
+    A caller that already knows the distinct irreducible factors of f,
+    as `factor_over_Q` orders them, may pass them as `factors`; a dict
+    passed as `witnesses` keeps each factor's witness search (its
+    certificate or None) for later calls with the same budget."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no Galois group")
-    factors = factor_over_Q(squarefree_part(f))
+    if factors is None:
+        factors = factor_over_Q(squarefree_part(f))
+    if witnesses is None:
+        witnesses = {}
     degrees = tuple(g.degree for g in factors)
     certs = []
     undecided = False
@@ -155,7 +164,9 @@ def solvability(f: IntPolynomial, prime_budget: int = 10000) -> SolvabilityVerdi
             continue
         if g.is_monic and _cyclotomic_index(g.coeffs) is not None:
             continue  # roots of unity, abelian Galois group
-        cert = _witness_for_factor(g, prime_budget)
+        if g not in witnesses:
+            witnesses[g] = _witness_for_factor(g, prime_budget)
+        cert = witnesses[g]
         if cert is not None:
             certs.append(cert)
         else:

@@ -12,13 +12,19 @@ witness; a single failure is a certified obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .galois import NOT_SOLVABLE, SOLVABLE, component_solvability
+from .galois import NOT_SOLVABLE, SOLVABLE, solvability
+from .polynomials import IntPolynomial, factor_over_Q
 from .quiver import (
     Quiver,
+    WeightVector,
     automorphism_orbits,
+    char_poly,
+    is_strongly_connected,
     reduced_weight_vector,
     strongly_connected_components,
+    weakly_connected_components,
 )
 
 OBSTRUCTED = "obstructed"
@@ -69,8 +75,81 @@ class ObstructionReport:
         }
 
 
-def mckay_obstruction_battery(q: Quiver,
-                              prime_budget: int = 10000) -> ObstructionReport:
+class QuiverAnalysis:
+    """What the battery and a fuller report on one quiver both compute,
+    each computed on first use and then kept.
+
+    Components are vertex tuples as the quiver functions return them;
+    the whole vertex set stands for the quiver itself.  Make one per
+    quiver and prime budget, for one report, and drop it with the report:
+    it is the only place these results are kept.
+    """
+
+    def __init__(self, q: Quiver, prime_budget: int = 10000):
+        self.q = q
+        self.prime_budget = prime_budget
+        self._char_polys: dict[tuple[int, ...], IntPolynomial] = {}
+        self._weightings: dict[tuple[int, ...], WeightVector | None] = {}
+        self._factors: dict[IntPolynomial, tuple[IntPolynomial, ...]] = {}
+        self._verdicts: dict = {}
+        self._witnesses: dict = {}
+
+    @cached_property
+    def strong_components(self) -> tuple[tuple[int, ...], ...]:
+        return strongly_connected_components(self.q)
+
+    @cached_property
+    def weak_components(self) -> tuple[tuple[int, ...], ...]:
+        return weakly_connected_components(self.q)
+
+    @property
+    def all_vertices(self) -> tuple[int, ...]:
+        return tuple(range(self.q.n))
+
+    def induced(self, comp) -> Quiver:
+        return self.q if comp == self.all_vertices else self.q.induced(comp)
+
+    def char_poly(self, comp) -> IntPolynomial:
+        if comp not in self._char_polys:
+            self._char_polys[comp] = char_poly(self.induced(comp))
+        return self._char_polys[comp]
+
+    def weighting(self, comp) -> WeightVector | None:
+        """The reduced weighting of the induced block, None when the
+        block is not strongly connected or has none."""
+        if comp not in self._weightings:
+            sub = self.induced(comp)
+            strong = (len(self.strong_components) == 1 if sub is self.q
+                      else is_strongly_connected(sub))
+            self._weightings[comp] = reduced_weight_vector(sub) if strong else None
+        return self._weightings[comp]
+
+    def factors(self, f: IntPolynomial) -> tuple[IntPolynomial, ...]:
+        """factor_over_Q(f), repeated by multiplicity."""
+        if f not in self._factors:
+            self._factors[f] = factor_over_Q(f)
+        return self._factors[f]
+
+    def solvability(self, f: IntPolynomial):
+        """solvability(f, prime_budget), from the factorization of f when
+        it is known, and sharing each factor's witness search."""
+        if f not in self._verdicts:
+            known = self._factors.get(f)
+            self._verdicts[f] = solvability(
+                f, self.prime_budget, witnesses=self._witnesses,
+                factors=None if known is None else tuple(dict.fromkeys(known)))
+        return self._verdicts[f]
+
+    def component_solvability(self):
+        """As galois.component_solvability: (component, verdict) per weak
+        component."""
+        return tuple((comp, self.solvability(self.char_poly(comp)))
+                     for comp in self.weak_components)
+
+
+def mckay_obstruction_battery(q: Quiver, prime_budget: int = 10000, *,
+                              analysis: QuiverAnalysis | None = None
+                              ) -> ObstructionReport:
     """Run the five obstruction tests in order.
 
     1. strong connectivity (a faithful representation's quiver has one
@@ -84,11 +163,16 @@ def mckay_obstruction_battery(q: Quiver,
        weak component.
 
     Tests 2 to 4 are reported unknown when an earlier prerequisite is
-    missing; test 5 always runs.
+    missing; test 5 always runs.  A caller that reports more on the same
+    quiver passes its QuiverAnalysis, so that nothing is computed twice.
     """
+    if analysis is None:
+        analysis = QuiverAnalysis(q, prime_budget)
+    elif analysis.q is not q or analysis.prime_budget != prime_budget:
+        raise ValueError("the analysis belongs to another quiver or prime budget")
     tests: list[BatteryTest] = []
 
-    blocks = strongly_connected_components(q)
+    blocks = analysis.strong_components
     strong = len(blocks) == 1
     if strong:
         tests.append(BatteryTest(
@@ -99,7 +183,7 @@ def mckay_obstruction_battery(q: Quiver,
             f"{len(blocks)} strongly connected blocks",
             witness=[[v + 1 for v in sorted(b)] for b in blocks]))
 
-    rw = reduced_weight_vector(q) if strong else None
+    rw = analysis.weighting(analysis.all_vertices) if strong else None
     if not strong:
         tests.append(BatteryTest(
             "reduced-weighting", "unknown", "requires strong connectivity"))
@@ -158,7 +242,7 @@ def mckay_obstruction_battery(q: Quiver,
                 f"weight-1 vertices split into {len(hit)} orbits",
                 witness=[[v + 1 for v in h] for h in hit]))
 
-    per_comp = component_solvability(q, prime_budget)
+    per_comp = analysis.component_solvability()
     failures = [(comp, v) for comp, v in per_comp if v.status == NOT_SOLVABLE]
     if failures:
         tests.append(BatteryTest(

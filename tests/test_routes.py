@@ -1,0 +1,305 @@
+"""Each faster route against the slower route it replaced.
+
+Parsing E(n)^k, `decompose`, `dual_index` and the natural multiplicities
+of direct products run on the table engine or on canonical roots of
+unity; `analyze` shares one QuiverAnalysis with the battery it embeds.
+Every test here recomputes the same quantity the old way (Cyclotomic
+arithmetic, `inner_product`, separate library calls) and compares.
+"""
+
+import json
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mckayq import chartab, cyclotomic, galois, obstructions
+from mckayq.catalog import (
+    catalog_specs,
+    cyclic_table,
+    dicyclic_table,
+    natural_rep,
+    parse_group_spec,
+)
+from mckayq.chartab import (
+    ClassFunction,
+    NotACharacter,
+    TableFormatError,
+    decompose,
+    inner_product,
+    table_from_json,
+    table_to_json,
+)
+from mckayq.cli import main
+from mckayq.cyclotomic import (
+    MAX_CONDUCTOR,
+    Cyclotomic,
+    CyclotomicSyntaxError,
+    E,
+    parse_cyclotomic,
+)
+from mckayq.galois import component_solvability, solvability
+from mckayq.mckay import McKayQuiver
+from mckayq.quiver import (
+    Quiver,
+    char_poly,
+    reduced_weight_vector,
+    strongly_connected_components,
+)
+
+
+# -- E(n)^k is the root of unity itself ------------------------------------------
+
+
+@st.composite
+def root_powers(draw):
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(-2 * n, 2 * n))
+    ws = draw(st.sampled_from(["", " ", "  "]))
+    coeff = draw(st.sampled_from([None, 1, 2, 3, Fraction(1, 2), Fraction(5, 3)]))
+    minus = draw(st.booleans())
+    text = f"E({ws}{n}{ws}){ws}^{ws}{k}"
+    value = E(n) ** k
+    if coeff is not None:
+        text = f"{coeff}{ws}*{ws}{text}"
+        value = coeff * value
+    if minus:
+        text = f"{ws}-{ws}{text}"
+        value = -value
+    return text, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_powers())
+def test_parsed_root_power_matches_repeated_multiplication(case):
+    text, value = case
+    assert parse_cyclotomic(text) == value
+
+
+def test_parsed_root_powers_fixed():
+    assert parse_cyclotomic("E(4)^0") == 1
+    assert parse_cyclotomic("E(4)^-1") == E(4) ** 3
+    assert parse_cyclotomic("E(6)^3") == -1
+    assert parse_cyclotomic("E(12)^4") == E(3)
+    assert parse_cyclotomic("(E(4))^3") == E(4) ** 3
+    assert parse_cyclotomic("(1+E(4))^2") == 2 * E(4)
+    assert parse_cyclotomic("-E(8)^3+E(8)^5") == -E(8) ** 3 - E(8)
+
+
+# -- the conductor bound ----------------------------------------------------------
+
+
+def test_conductor_bound_rejects_before_building():
+    parse_cyclotomic("E(3)+E(4)")
+    rows_before = cyclotomic._reduction_rows.cache_info().currsize
+    start = time.process_time()
+    for text, pos in (("E(100003)", 2), ("2*E( 100003)^5", 4),
+                      (f"E({MAX_CONDUCTOR + 1})", 2),
+                      ("E(3)*E(512)", 7), ("E(4)+E(1009)", 7)):
+        with pytest.raises(CyclotomicSyntaxError) as info:
+            parse_cyclotomic(text)
+        assert info.value.position == pos, text
+    assert time.process_time() - start < 0.5
+    assert cyclotomic._reduction_rows.cache_info().currsize == rows_before
+    # the bound itself is accepted
+    assert parse_cyclotomic(f"E({MAX_CONDUCTOR})^{MAX_CONDUCTOR}") == 1
+
+
+def test_verify_rejects_a_huge_conductor_with_exit_2(capsys, tmp_path):
+    data = table_to_json(cyclic_table(2))
+    data["characters"][1][1] = "E(100003)"
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    start = time.process_time()
+    assert main(["verify", str(path)]) == 2
+    assert time.process_time() - start < 0.5
+    err = capsys.readouterr().err
+    assert "conductor 100003 is above 1024 (at position 2)" in err
+
+
+def test_table_values_with_a_huge_common_conductor_are_rejected():
+    data = table_to_json(cyclic_table(2))
+    data["characters"][1] = ["E(512)", "E(3)"]
+    with pytest.raises(TableFormatError, match="conductor 1536"):
+        table_from_json(data, force=True)
+
+
+# -- decompose on the engine --------------------------------------------------------
+
+
+def decompose_by_inner_products(f):
+    """The Cyclotomic route: one `inner_product` per irreducible.
+    Returns (multiplicities, None), or (None, (first offending row, value))."""
+    out = []
+    for i in range(f.table.n_classes):
+        m = inner_product(f, f.table.irreducible(i))
+        if not m.is_rational or m.to_rational().denominator != 1 or m.to_rational() < 0:
+            return None, (i, m)
+        out.append(int(m.to_rational()))
+    return tuple(out), None
+
+
+def assert_routes_agree(f):
+    want, bad = decompose_by_inner_products(f)
+    if bad is None:
+        assert decompose(f) == want
+        return
+    i, m = bad
+    with pytest.raises(NotACharacter) as info:
+        decompose(f)
+    if all(f.table._engine().exponent % v.conductor == 0 for v in f.values):
+        assert str(info.value) == f"multiplicity of row {i + 1} is {m}"
+
+
+TABLES = ["C:6", "BD:12", "2T", "C:2xC:3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLES), st.data())
+def test_engine_decompose_matches_inner_products(spec, data):
+    t = parse_group_spec(spec)
+    r = t.n_classes
+    mult = data.draw(st.lists(st.integers(-1, 3), min_size=r, max_size=r))
+    scale = data.draw(st.sampled_from([1, 1, Fraction(1, 2), Fraction(2, 3)]))
+    f = ClassFunction(t, [Cyclotomic.zero()] * r)
+    for k, m in enumerate(mult):
+        if m:
+            f = f + m * t.irreducible(k)
+    assert_routes_agree(f * scale)
+
+
+def test_engine_decompose_non_characters():
+    t = dicyclic_table(12)
+    assert_routes_agree(t.irreducible(1) * Fraction(1, 2))
+    assert_routes_agree(ClassFunction(t, [1, 0, 0, 0, 0, 0]))
+    assert_routes_agree(t.irreducible(4) * E(4))
+    c5 = cyclic_table(5)
+    assert_routes_agree(ClassFunction(c5, [E(7)] * 5))
+    with pytest.raises(NotACharacter, match="not in Q"):
+        decompose(ClassFunction(c5, [E(7)] * 5))
+    # E(5)-values that are no character: non-rational multiplicities
+    assert_routes_agree(ClassFunction(c5, [E(5)] * 5))
+
+
+# -- dual_index on the engine ----------------------------------------------------------
+
+
+def test_dual_index_matches_conjugate_route():
+    for spec in catalog_specs(48):
+        t = parse_group_spec(spec)
+        for i in range(t.n_classes):
+            conj = t.row_index([v.conjugate() for v in t.characters[i]])
+            assert t.dual_index(i) == conj, (spec, i)
+
+
+# -- natural multiplicities of direct products -------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["C:2xBD:8", "C:3xC:3", "C:5xC:7"])
+def test_direct_product_naturals_are_outer_products(spec):
+    left, right = spec.split("x")
+    n1 = natural_rep(parse_group_spec(left))
+    n2 = natural_rep(parse_group_spec(right))
+    assert natural_rep(parse_group_spec(spec)) == tuple(a * b for a in n1 for b in n2)
+
+
+# -- one analysis per analyze call ----------------------------------------------------------
+
+
+def mk(adj):
+    return Quiver([f"v{i}" for i in range(len(adj))], adj)
+
+
+QUINTIC = [  # strongly connected, char poly with a nonsolvable quintic
+    [1, 0, 0, 1, 0],
+    [0, 1, 1, 0, 1],
+    [1, 1, 0, 1, 0],
+    [1, 0, 1, 0, 1],
+    [1, 1, 0, 0, 1],
+]
+
+
+def _quivers():
+    b12 = dicyclic_table(12)
+    strong = McKayQuiver(b12, natural_rep(b12)).to_quiver()
+    disconnected = McKayQuiver(cyclic_table(6), (0, 0, 1, 0, 1, 0)).to_quiver()
+    # the quintic block beside a looped vertex: two weak components
+    blocked = mk([row + [0] for row in QUINTIC] + [[0, 0, 0, 0, 0, 2]])
+    return {"strong": strong, "disconnected": disconnected,
+            "non-mckay": mk(QUINTIC), "blocked": blocked}
+
+
+@pytest.mark.parametrize("name", ["strong", "disconnected", "non-mckay", "blocked"])
+def test_analyze_matches_library_calls(capsys, tmp_path, name):
+    q = _quivers()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(q.to_json()))
+    budget = "500"
+    code_a = main(["analyze", str(path), "--format", "json", "--prime-budget", budget])
+    report = json.loads(capsys.readouterr().out)
+    code_b = main(["check-mckay", str(path), "--format", "json", "--prime-budget", budget])
+    battery = json.loads(capsys.readouterr().out)
+    assert code_a == 0 and code_b in (0, 1)
+    assert report["battery"] == battery
+
+    comps = strongly_connected_components(q)
+    assert [w["vertices"] for w in report["weightings"]] == [
+        [v + 1 for v in comp] for comp in comps]
+    for w, comp in zip(report["weightings"], comps):
+        rw = reduced_weight_vector(q.induced(comp))
+        assert (w["k"], w["weights"]) == ((None, None) if rw is None
+                                          else (rw.k, list(rw.weights)))
+    cp = char_poly(q)
+    assert report["char_poly"] == str(cp)
+    assert report["solvability"] == solvability(cp, int(budget)).to_json()
+    assert (obstructions.QuiverAnalysis(q, int(budget)).component_solvability()
+            == component_solvability(q, int(budget)))
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_analyze_computes_each_quantity_once(monkeypatch, capsys, tmp_path):
+    weightings_seen = _counting(monkeypatch, obstructions, "reduced_weight_vector")
+    polys = _counting(monkeypatch, obstructions, "char_poly")
+    witnesses = _counting(monkeypatch, galois, "_witness_for_factor")
+    for name, n_weightings, n_polys in (("strong", 1, 1), ("blocked", 2, 3)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_quivers()[name].to_json()))
+        del weightings_seen[:], polys[:], witnesses[:]
+        assert main(["analyze", str(path), "--prime-budget", "500"]) == 0
+        capsys.readouterr()
+        assert len(weightings_seen) == n_weightings
+        assert len(polys) == n_polys
+        assert len(witnesses) == len(set(witnesses))
+    assert [str(f) for f in witnesses] == ["x^5-3*x^4-x^3+5*x^2-1"]
+
+
+def test_battery_rejects_a_foreign_analysis():
+    q = _quivers()["strong"]
+    with pytest.raises(ValueError):
+        obstructions.mckay_obstruction_battery(
+            q, 100, analysis=obstructions.QuiverAnalysis(q, 200))
+
+
+# -- verify runs the checks once ----------------------------------------------------------------
+
+
+def test_verify_runs_verification_once(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table_to_json(parse_group_spec("2T"))))
+    runs = _counting(monkeypatch, chartab, "verify_table")
+    assert main(["verify", str(path), "--format", "json"]) == 0
+    assert len(runs) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report == chartab.verify_table(runs[0]).to_json()
