@@ -15,9 +15,10 @@ tensor product of the factors' choices for direct products.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .chartab import CharacterTable, ClassFunction, ConjClass, decompose
-from .cyclotomic import Cyclotomic, E
+from .cyclotomic import MAX_CONDUCTOR, Cyclotomic, E
 
 
 class GroupSpecError(ValueError):
@@ -223,37 +224,48 @@ def _character_values(t: CharacterTable, mult) -> list[Cyclotomic]:
 
 def parse_group_spec(text: str) -> CharacterTable:
     """Build the table for a spec like "C:6", "BD:12", "Q8", "2T", "2O",
-    "2I" or a product "C:2xBD:8"."""
+    "2I" or a product "C:2xBD:8".  A spec whose group exponent (the lcm
+    of its factors' exponents) is above MAX_CONDUCTOR is rejected before
+    any table is built."""
     parts = [p.strip() for p in text.strip().split("x")]
     if any(not p for p in parts):
         raise GroupSpecError(f"empty factor in group spec {text!r}")
-    tables = [_parse_atom(p) for p in parts]
+    atoms = [_parse_atom(p) for p in parts]
+    exponent = lcm(*(e for e, _ in atoms))
+    if exponent > MAX_CONDUCTOR:
+        raise GroupSpecError(f"group spec {text!r} has exponent {exponent}, "
+                             f"above {MAX_CONDUCTOR}")
+    tables = [build() for _, build in atoms]
     out = tables[0]
     for t in tables[1:]:
         out = direct_product(out, t)
     return out
 
 
-def _parse_atom(tok: str) -> CharacterTable:
+_NAMED = {"Q8": (4, lambda: dicyclic_table(8)),
+          "2T": (12, binary_tetrahedral_table),
+          "2O": (24, binary_octahedral_table),
+          "2I": (60, binary_icosahedral_table)}
+
+
+def _parse_atom(tok: str):
+    """(exponent, builder) for one factor of a spec; nothing is built."""
     up = tok.upper()
-    if up == "Q8":
-        return dicyclic_table(8)
-    if up == "2T":
-        return binary_tetrahedral_table()
-    if up == "2O":
-        return binary_octahedral_table()
-    if up == "2I":
-        return binary_icosahedral_table()
+    if up in _NAMED:
+        return _NAMED[up]
     if up.startswith("C:"):
         body = up[2:]
         if not body.isdigit():
             raise GroupSpecError(f"bad cyclic order in {tok!r}")
-        return cyclic_table(int(body))
+        n = int(body)
+        return n, lambda: cyclic_table(n)
     if up.startswith("BD:"):
         body = up[3:]
         if not body.isdigit():
             raise GroupSpecError(f"bad dicyclic order in {tok!r}")
-        return dicyclic_table(int(body))
+        m = int(body)
+        # BD:4n has elements of orders 2n and 4
+        return lcm(m // 2, 4), lambda: dicyclic_table(m)
     raise GroupSpecError(
         f"unknown group {tok!r}; expected C:n, BD:m, Q8, 2T, 2O, 2I "
         f"or an x-product of these")

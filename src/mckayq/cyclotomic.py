@@ -15,6 +15,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import linalg
+from .polynomials import IntPolynomial, _q_divmod
+
 Rational = Fraction
 
 # Largest conductor the parser accepts, for E(n) and for the value as a
@@ -77,30 +80,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     # divide x^n - 1 by Phi_d for every proper divisor d
-    poly = [-1] + [0] * (n - 1) + [1]
+    poly = IntPolynomial([-1] + [0] * (n - 1) + [1])
     for d in divisors(n)[:-1]:
-        q = cyclotomic_polynomial(d)
-        poly = _exact_div_int(poly, list(q))
-    return tuple(poly)
-
-
-def _exact_div_int(num: list[int], den: list[int]) -> list[int]:
-    # long division of integer polynomials, exact by construction
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[dd + k]
-        if c % den[dd] != 0:
+        poly = poly.try_divide(IntPolynomial(cyclotomic_polynomial(d)))
+        if poly is None:
             raise ArithmeticError("non-exact polynomial division")
-        c //= den[dd]
-        out[k] = c
-        if c:
-            for i, b in enumerate(den):
-                num[k + i] -= c * b
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    return poly.coeffs
 
 
 @lru_cache(maxsize=None)
@@ -124,59 +109,20 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def _subfield_basis(n: int, m: int):
     """Solver data expressing elements of Q(zeta_n) in the zeta_m basis, m | n.
 
-    Returns (pivot_rows, inverse) where inverse is the Fraction inverse of
-    the square submatrix of the embedding matrix on pivot_rows.
+    Returns (pivot_rows, inverse): pivot_rows are phi(m) coordinates of
+    Q(zeta_n) on which the embedding of Q(zeta_m) is invertible (the pivot
+    columns of its transpose), and inverse is the Fraction inverse of the
+    square submatrix of the embedding matrix on them.
     """
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
     red = _reduction_rows(n)
     step = n // m
-    cols = [red[(j * step) % n] for j in range(phi_m)]
-    # matrix rows: coordinate index in Q(zeta_n); columns: zeta_m powers
-    orig = [[Fraction(cols[j][i]) for j in range(phi_m)] for i in range(phi_n)]
-    work = [row[:] for row in orig]
-    rowidx = list(range(phi_n))
-    pivots: list[int] = []
-    col = 0
-    for r in range(phi_n):
-        if col >= phi_m:
-            break
-        if work[r][col] == 0:
-            for r2 in range(r + 1, phi_n):
-                if work[r2][col] != 0:
-                    work[r], work[r2] = work[r2], work[r]
-                    rowidx[r], rowidx[r2] = rowidx[r2], rowidx[r]
-                    break
-            else:
-                continue
-        pivots.append(rowidx[r])
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for r2 in range(phi_n):
-            if r2 != r and work[r2][col] != 0:
-                f = work[r2][col]
-                work[r2] = [a - f * b for a, b in zip(work[r2], work[r])]
-        col += 1
-    if len(pivots) != phi_m:
+    # row j: the coordinates of zeta_m^j in Q(zeta_n)
+    cols = [red[(j * step) % n] for j in range(euler_phi(m))]
+    pivots, _, _ = linalg.echelon(cols)
+    if len(pivots) != len(cols):
         raise ArithmeticError("subfield basis is degenerate")
-    # invert the square submatrix on the pivot rows (original indices)
-    sub = [orig[i][:] for i in pivots]
-    inv = _invert_fraction_matrix(sub)
-    return tuple(pivots), inv
-
-
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    k = len(m)
-    aug = [m[i][:] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = 1 / aug[c][c]
-        aug[c] = [x * f for x in aug[c]]
-        for r in range(k):
-            if r != c and aug[r][c] != 0:
-                g = aug[r][c]
-                aug[r] = [a - g * b for a, b in zip(aug[r], aug[c])]
-    return tuple(tuple(row[k:]) for row in aug)
+    sub = [[col[i] for col in cols] for i in pivots]
+    return tuple(pivots), linalg.inverse(sub)
 
 
 def _apply_galois(n: int, coeffs, a: int) -> list[Fraction]:
@@ -225,40 +171,21 @@ def _minimize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]
 
 
 def _poly_xgcd(f: list[Fraction], g: list[Fraction]):
-    """Extended gcd over Q[x]: returns (gcd, u, v) with u*f + v*g = gcd."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    r0, r1 = trim(list(f)), trim(list(g))
+    """Half of the extended gcd over Q[x]: (gcd, u) with u*f = gcd mod g."""
+    r0, r1 = list(f), list(g)
+    while r0 and not r0[-1]:
+        r0.pop()
     u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-
-    def sub_scaled(a, b, c, shift):
-        # a -= c * x^shift * b
-        if len(a) < len(b) + shift:
-            a += [Fraction(0)] * (len(b) + shift - len(a))
-        for i, bi in enumerate(b):
-            if bi:
-                a[i + shift] -= c * bi
-        return trim(a)
-
     while r1:
-        q_acc: list[tuple[Fraction, int]] = []
-        while len(r0) >= len(r1) and r0:
-            c = r0[-1] / r1[-1]
-            shift = len(r0) - len(r1)
-            q_acc.append((c, shift))
-            r0 = sub_scaled(r0, r1, c, shift)
-        for c, shift in q_acc:
-            u0 = sub_scaled(u0, u1, c, shift)
-            v0 = sub_scaled(v0, v1, c, shift)
-        r0, r1 = r1, r0
-        u0, u1 = u1, u0
-        v0, v1 = v1, v0
-    return r0, u0, v0
+        q, r = _q_divmod(r0, r1)
+        r0, r1 = r1, r
+        # u0 - q*u1
+        u = u0 + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
+        for i, qi in enumerate(q):
+            for j, uj in enumerate(u1):
+                u[i + j] -= qi * uj
+        u0, u1 = u1, u
+    return r0, u0
 
 
 class Cyclotomic:
@@ -406,7 +333,7 @@ class Cyclotomic:
             return Cyclotomic(1, (1 / self.coeffs[0],))
         n = self.conductor
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        g, u, _ = _poly_xgcd(list(self.coeffs), phi_poly)
+        g, u = _poly_xgcd(list(self.coeffs), phi_poly)
         if len(g) != 1:
             raise ArithmeticError("element not invertible mod Phi_n")
         scale = 1 / g[0]
@@ -596,7 +523,12 @@ class _Parser:
         value = self.primary()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.integer()
+            self.skip_ws()
+            kpos = self.pos
+            k = self.integer()
+            if k < 0 and value.is_zero:
+                self.error("zero to a negative power", kpos)
+            value = value ** k
         return value
 
     def primary(self) -> Cyclotomic:

@@ -3,7 +3,9 @@ structural analysis used to screen them: connectivity, integer
 eigen-weightings, exact characteristic polynomials, automorphism orbits,
 isomorphism testing, and affine ADE recognition.
 
-Everything is exact; eigenvector computations run over Fraction.
+Everything is exact.  Eigenspaces come from the fraction-free integer
+elimination in linalg.py; the positive combination of an eigenspace
+basis and the characteristic polynomial are computed over Fraction.
 """
 
 from __future__ import annotations
@@ -13,11 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .linalg import nullspace
 from .polynomials import IntPolynomial
 
 
 class QuiverFormatError(ValueError):
     """Malformed quiver JSON."""
+
+
+def _is_int(a) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(a, int) and not isinstance(a, bool)
 
 
 class Quiver:
@@ -38,7 +46,7 @@ class Quiver:
             row = tuple(row)
             if len(row) != len(vs):
                 raise ValueError("adjacency matrix must be square")
-            if any(not isinstance(a, int) or a < 0 for a in row):
+            if any(not _is_int(a) or a < 0 for a in row):
                 raise ValueError("adjacency entries must be non-negative integers")
             rows.append(row)
         if len(rows) != len(vs):
@@ -47,7 +55,7 @@ class Quiver:
             weights = tuple(weights)
             if len(weights) != len(vs):
                 raise ValueError("weights must match the vertex count")
-            if any(not isinstance(w, int) or w < 1 for w in weights):
+            if any(not _is_int(w) or w < 1 for w in weights):
                 raise ValueError("weights must be positive integers")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "adjacency", tuple(rows))
@@ -192,60 +200,18 @@ class WeightVector:
     weights: tuple[int, ...]
 
 
-def _nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace, by sparse Gaussian elimination."""
-    n = len(matrix[0]) if matrix else 0
-    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
-    rows = [r for r in rows if r]
-    pivots: dict[int, dict[int, Fraction]] = {}  # pivot col -> reduced row
-    while rows:
-        # smallest row first keeps the elimination sparse
-        rows.sort(key=lambda r: (len(r), min(r)))
-        row = rows.pop(0)
-        col = min(row)
-        inv = 1 / row[col]
-        row = {j: v * inv for j, v in row.items()}
-        for pcol, prow in pivots.items():
-            if col in prow:
-                f = prow[col]
-                for j, v in row.items():
-                    nv = prow.get(j, Fraction(0)) - f * v
-                    if nv:
-                        prow[j] = nv
-                    else:
-                        prow.pop(j, None)
-        pivots[col] = row
-        nxt = []
-        for r in rows:
-            if col in r:
-                f = r[col]
-                for j, v in row.items():
-                    nv = r.get(j, Fraction(0)) - f * v
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        rows = nxt
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for pcol, prow in pivots.items():
-            vec[pcol] = -prow.get(fc, Fraction(0))
-        basis.append(vec)
-    return basis
+# the name bench/layers.py counts nullspace calls through
+_nullspace = nullspace
 
 
 def _strictly_positive_combination(basis: list[list[Fraction]]):
     """A vector w = sum(l_b * basis_b) with every entry > 0, or None.
-    Fourier-Motzkin elimination on the coefficients l_b."""
+    Fourier-Motzkin elimination on the coefficients l_b, over Fraction
+    whatever the type of the basis entries."""
     m = len(basis)
     n = len(basis[0])
     # constraint rows: sum_b basis[b][i] * l_b > 0
-    cons = [[basis[b][i] for b in range(m)] for i in range(n)]
+    cons = [[Fraction(basis[b][i]) for b in range(m)] for i in range(n)]
     if any(all(v == 0 for v in row) for row in cons):
         return None  # some coordinate is identically zero on the eigenspace
     eliminated = []  # (var, lowers, uppers) in elimination order
@@ -312,9 +278,8 @@ def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
     """A strictly positive w with A w = k w, reduced to integers with
     gcd 1, or None when no such vector exists."""
     n = q.n
-    mat = [[Fraction(q.adjacency[i][j] - (k if i == j else 0))
-            for j in range(n)] for i in range(n)]
-    basis = _nullspace(mat)
+    basis = nullspace([[q.adjacency[i][j] - (k if i == j else 0)
+                        for j in range(n)] for i in range(n)])
     if not basis:
         return None
     if len(basis) == 1:

@@ -1,6 +1,11 @@
 """The command-line surface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI as a fresh process, where an escaping exception would print
+    a traceback and exit 1."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "mckayq.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -69,6 +84,15 @@ def test_bad_group_specs(capsys):
         assert code == 2 and "error" in err
     code, _, err = run(capsys, "table")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec, exponent", [("C:1031", 1031),
+                                            ("C:3xC:512", 1536)])
+def test_group_exponent_bound(capsys, spec, exponent):
+    start = time.process_time()
+    code, _, err = run(capsys, "table", spec)
+    assert time.process_time() - start < 1.0
+    assert code == 2 and f"exponent {exponent}, above 1024" in err
 
 
 # -- quiver ----------------------------------------------------------------------
@@ -162,6 +186,11 @@ def test_analyze_missing_file(capsys, tmp_path):
     ragged.write_text('{"vertices": ["a", "b"], "adjacency": [[0, 1]]}')
     code, _, err = run(capsys, "analyze", str(ragged))
     assert code == 2
+    booleans = tmp_path / "booleans.json"
+    booleans.write_text('{"vertices": ["a", "b"], "weights": [true, true], '
+                        '"adjacency": [[false, true], [true, false]]}')
+    code, _, err = run(capsys, "analyze", str(booleans))
+    assert code == 2 and "non-negative integers" in err
 
 
 # -- check-mckay --------------------------------------------------------------------
@@ -206,3 +235,15 @@ def test_verify_flags_bad_sizes(capsys, bad_sizes_table_file):
     assert not data["all_pass"]
     failed = {c["name"] for c in data["checks"] if not c["passed"]}
     assert "row-orthogonality" in failed
+
+
+@pytest.mark.parametrize("value", ["(0)^-1", "(E(4)-E(4))^-1"])
+def test_verify_zero_to_a_negative_power(tmp_path, value):
+    data = table_to_json(parse_group_spec("C:2"))
+    data["characters"][1][1] = value
+    path = tmp_path / "zero_power.json"
+    path.write_text(json.dumps(data))
+    proc = run_process("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "zero to a negative power" in proc.stderr

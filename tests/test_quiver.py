@@ -23,6 +23,7 @@ from mckayq.quiver import (
     to_dot,
     weakly_connected_components,
 )
+from mckayq.quiver import _strictly_positive_combination
 
 
 def mk(adj, weights=None):
@@ -136,6 +137,20 @@ def test_k_weight_vector_frozen():
     block = mk([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     wv = reduced_weight_vector(block)
     assert wv is not None and wv.k == 2 and wv.weights == (1, 1, 1)
+
+    # two-dimensional eigenspaces: the weighting comes from Fourier-Motzkin
+    for adj, k, weights in (
+            ([[0, 2, 0], [3, 1, 0], [0, 0, 3]], 3, (2, 3, 3)),
+            ([[0, 2, 0, 0], [3, 1, 0, 0], [0, 0, 1, 2], [0, 0, 2, 1]], 3,
+             (2, 3, 3, 3)),
+            ([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 2, 0],
+              [0, 0, 1, 0, 1], [0, 0, 0, 2, 0]], 2, (1, 1, 1, 1, 1))):
+        wv = k_weight_vector(mk(adj), k)
+        assert wv is not None and wv.weights == weights
+        assert not any(isinstance(x, float) for x in wv.weights)
+    # integer basis entries still give an exact combination
+    w = _strictly_positive_combination([[1, 0, 2], [0, 1, -1]])
+    assert w is not None and all(type(x) is Fraction and x > 0 for x in w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,6 +324,8 @@ def test_json_round_trip():
     for bad in ("nope {", '["list"]', '{"vertices": ["a"]}',
                 '{"vertices": ["a"], "adjacency": [[0, 1]]}',
                 '{"vertices": ["a"], "adjacency": [[-1]]}',
+                '{"vertices": ["a"], "adjacency": [[true]]}',
+                '{"vertices": ["a"], "adjacency": [[1]], "weights": [true]}',
                 '{"vertices": ["a", "a"], "adjacency": [[0, 0], [0, 0]]}'):
         with pytest.raises(QuiverFormatError):
             Quiver.from_json(bad)
