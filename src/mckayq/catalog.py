@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .chartab import CharacterTable, ClassFunction, ConjClass, decompose
+from .chartab import CharacterTable, ClassFunction, ConjClass, character_of, decompose
 from .cyclotomic import MAX_CONDUCTOR, Cyclotomic, E
 
 
@@ -201,22 +201,10 @@ def direct_product(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     n1 = getattr(t1, "natural_multiplicities", None)
     n2 = getattr(t2, "natural_multiplicities", None)
     if n1 is not None and n2 is not None:
-        v1 = _character_values(t1, n1)
-        v2 = _character_values(t2, n2)
+        v1, v2 = character_of(t1, n1), character_of(t2, n2)
         prod = ClassFunction(t, [a * b for a in v1 for b in v2])
         t.natural_multiplicities = decompose(prod)
     return t
-
-
-def _character_values(t: CharacterTable, mult) -> list[Cyclotomic]:
-    out = []
-    for c in range(t.n_classes):
-        v = Cyclotomic.zero()
-        for k, m in enumerate(mult):
-            if m:
-                v = v + m * t.characters[k][c]
-        out.append(v)
-    return out
 
 
 # -- the group grammar -----------------------------------------------------------

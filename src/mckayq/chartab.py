@@ -21,8 +21,7 @@ from .cyclotomic import (
     Cyclotomic,
     MAX_CONDUCTOR,
     CyclotomicSyntaxError,
-    _reduction_rows,
-    euler_phi,
+    _Field,
     parse_cyclotomic,
 )
 
@@ -205,11 +204,12 @@ class ClassFunction:
 
 # -- fast exact engine -------------------------------------------------------
 #
-# All table values live in one Q(zeta_E).  A value is a sparse dict
-# {exponent: coefficient} over the group ring basis zeta_E^0..zeta_E^(E-1);
-# products are exponent additions, conjugation negates exponents, and a
-# single reduction mod Phi_E at the end turns an accumulated sum into
-# canonical power-basis coordinates.  Everything stays exact.
+# All table values live in one Q(zeta_E), E the lcm of their conductors,
+# and the engine is that field: a `cyclotomic._Field` of conductor E that
+# also holds the table's characters in exponent form.  Products are
+# exponent additions, conjugation negates exponents, and one reduction
+# mod Phi_E at the end turns an accumulated sum into canonical
+# power-basis coordinates.  Everything stays exact.
 
 
 def _common_conductor(rows) -> int:
@@ -217,84 +217,27 @@ def _common_conductor(rows) -> int:
     return math.lcm(*(v.conductor for row in rows for v in row))
 
 
-class _TableEngine:
+class _TableEngine(_Field):
     def __init__(self, table: CharacterTable):
+        super().__init__(_common_conductor(table.characters))
         self.table = table
-        self.exponent = E = _common_conductor(table.characters)
-        self.phi = euler_phi(E)
-        self.red = _reduction_rows(E)
-        r = table.n_classes
-        self.vals = [[self._embed(table.characters[i][c]) for c in range(r)]
-                     for i in range(r)]
-        self.conj_vals = [[self.conj(d) for d in row] for row in self.vals]
+        self.vals = [[v.terms(self.exponent) for v in row] for row in table.characters]
+        self.conj_vals = [[self.galois(d, -1) for d in row] for row in self.vals]
         self.coords = [[self.reduce_dict(d) for d in row] for row in self.vals]
         self.row_lookup: dict[tuple, int] = {}
-        for i in range(r):
-            key = tuple(self.coords[i])
-            self.row_lookup.setdefault(key, i)
+        for i, row in enumerate(self.coords):
+            self.row_lookup.setdefault(tuple(row), i)
         self.product_cache: dict[int, tuple] = {}
 
-    def _embed(self, v: Cyclotomic) -> dict:
-        step = self.exponent // v.conductor
-        out = {}
-        for k, c in enumerate(v.coeffs):
-            if c:
-                out[(k * step) % self.exponent] = c.numerator if c.denominator == 1 else c
-        return out
-
     def key_of_value(self, v: Cyclotomic) -> tuple:
-        return self.reduce_dict(self._embed(_as_cyclotomic(v)))
+        return self.reduce_dict(_as_cyclotomic(v).terms(self.exponent))
 
-    def conj(self, d: dict) -> dict:
-        E = self.exponent
-        return {(E - e) % E: c for e, c in d.items()}
-
-    def mul(self, d1: dict, d2: dict) -> dict:
-        E = self.exponent
-        out: dict = {}
-        for e1, c1 in d1.items():
-            for e2, c2 in d2.items():
-                e = e1 + e2
-                if e >= E:
-                    e -= E
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
-
-    def combo(self, weights, dicts) -> dict:
-        """Integer combination sum(w * d for w, d in zip(weights, dicts))."""
-        out: dict = {}
-        for w, d in zip(weights, dicts):
-            if w:
-                for e, c in d.items():
-                    out[e] = out.get(e, 0) + w * c
-        return {e: c for e, c in out.items() if c}
-
-    def reduce_dict(self, d: dict) -> tuple:
-        if len(d) == 1:
-            # monomial fast path; returning the cached row by reference lets
-            # callers compare repeated reductions with `is` before `==`
-            (e, c), = d.items()
-            if c == 1:
-                return self.red[e]
-            return tuple(c * x for x in self.red[e])
-        out = [0] * self.phi
-        for e, c in d.items():
-            if c:
-                row = self.red[e]
-                for t in range(self.phi):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return tuple(out)
-
-    def reduce_dense(self, acc: list) -> tuple:
-        out = [0] * self.phi
-        for e, c in enumerate(acc):
-            if c:
-                row = self.red[e]
-                for t in range(self.phi):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return tuple(out)
+    def rep_dicts(self, mult) -> list[dict]:
+        """Exponent dicts of the character sum_k mult[k] * chi_k, per class."""
+        hot = [k for k, m in enumerate(mult) if m]
+        if len(hot) == 1 and mult[hot[0]] == 1:
+            return list(self.vals[hot[0]])
+        return [self.combo(mult, column) for column in zip(*self.vals)]
 
     def rational_of_coords(self, coords) -> Fraction | None:
         if any(coords[1:]):
@@ -303,20 +246,7 @@ class _TableEngine:
 
     def row_inner(self, d_per_class_1, d_per_class_2_conj) -> tuple:
         """Coordinates of sum_c size_c * a_c * b_c (b already conjugated)."""
-        sizes = self.table.class_sizes
-        E = self.exponent
-        acc = [0] * E
-        for c, s in enumerate(sizes):
-            d1 = d_per_class_1[c]
-            d2 = d_per_class_2_conj[c]
-            for e1, c1 in d1.items():
-                sc1 = s * c1
-                for e2, c2 in d2.items():
-                    e = e1 + e2
-                    if e >= E:
-                        e -= E
-                    acc[e] += sc1 * c2
-        return self.reduce_dense(acc)
+        return self.dot(self.table.class_sizes, d_per_class_1, d_per_class_2_conj)
 
 
 # -- operations --------------------------------------------------------------
@@ -349,7 +279,7 @@ def decompose(f: ClassFunction) -> tuple[int, ...]:
         if eng.exponent % v.conductor:
             raise NotACharacter(
                 f"value {v} at class {c + 1} is not in Q(zeta_{eng.exponent})")
-    vals = [eng._embed(v) for v in f.values]
+    vals = [v.terms(eng.exponent) for v in f.values]
     out = []
     for i in range(t.n_classes):
         coords = eng.row_inner(vals, eng.conj_vals[i])
@@ -360,6 +290,13 @@ def decompose(f: ClassFunction) -> tuple[int, ...]:
             raise NotACharacter(f"multiplicity of row {i + 1} is {m}")
         out.append(int(m))
     return tuple(out)
+
+
+def character_of(t: CharacterTable, mult) -> ClassFunction:
+    """The character sum_k mult[k] * chi_k, summed on the table engine."""
+    eng = t._engine()
+    return ClassFunction(t, [Cyclotomic(eng.exponent, eng.reduce_dict(d))
+                             for d in eng.rep_dicts(mult)])
 
 
 def dual(f: ClassFunction) -> ClassFunction:
@@ -503,20 +440,10 @@ def verify_table(t: CharacterTable) -> VerificationReport:
         "" if bad is None else f"<chi{bad[0] + 1}, chi{bad[1] + 1}> is off"))
 
     bad = None
+    cols, conj_cols = list(zip(*eng.vals)), list(zip(*eng.conj_vals))
     for c in range(r):
         for c2 in range(c, r):
-            acc = [0] * eng.exponent
-            E = eng.exponent
-            for i in range(r):
-                d1 = eng.vals[i][c]
-                d2 = eng.conj_vals[i][c2]
-                for e1, a in d1.items():
-                    for e2, b in d2.items():
-                        e = e1 + e2
-                        if e >= E:
-                            e -= E
-                        acc[e] += a * b
-            q = eng.rational_of_coords(eng.reduce_dense(acc))
+            q = eng.rational_of_coords(eng.dot([1] * r, cols[c], conj_cols[c2]))
             want = Fraction(t.order, t.classes[c].size) if c == c2 else Fraction(0)
             if q is None or q != want:
                 bad = (c, c2)
@@ -550,13 +477,8 @@ def verify_table(t: CharacterTable) -> VerificationReport:
     # vanishing exactly for the non-real rows
     bad_p2 = None
     for i in range(r):
-        acc: dict = {}
-        for c in range(r):
-            d = eng.vals[i][t.classes[c].power2]
-            s = t.classes[c].size
-            for e, cc in d.items():
-                acc[e] = acc.get(e, 0) + s * cc
-        q = eng.rational_of_coords(eng.reduce_dict(acc))
+        squares = [eng.vals[i][cl.power2] for cl in t.classes]
+        q = eng.rational_of_coords(eng.reduce_dict(eng.combo(t.class_sizes, squares)))
         nu = None if q is None else q / t.order
         real = eng.coords[i] == [eng.reduce_dict(d) for d in eng.conj_vals[i]]
         if nu not in (Fraction(-1), Fraction(0), Fraction(1)) or (nu == 0) == real:

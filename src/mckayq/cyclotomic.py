@@ -5,8 +5,17 @@ minimal conductor n, with Fraction coefficients, reduced mod the n-th
 cyclotomic polynomial.  Every operation re-minimizes the conductor, so
 equality, hashing and printing are canonical.  No floating point.
 
+All arithmetic runs through one kernel, `_Field(n)`, which holds
+Q(zeta_n) in exponent form: a dict {e: c}, 0 <= e < n, stands for
+sum c * zeta_n^e.  Products add exponents mod n, the Galois map
+zeta -> zeta^a multiplies them by a, and `_Field.reduce_dict` is the one
+place where exponents are reduced mod Phi_n into power-basis
+coordinates.  `Cyclotomic` objects and the character-table engine
+(`chartab._TableEngine`, the field of a table's conductor) share it.
+
 Text form follows the E(n) grammar: E(12)^7-E(12)^5, 1/2*E(4)+3, etc.
-Parsed conductors are bounded by MAX_CONDUCTOR.
+Parsed conductors are bounded by MAX_CONDUCTOR and parsed powers of
+values other than E(n) by MAX_POWER.
 """
 
 from __future__ import annotations
@@ -25,6 +34,12 @@ Rational = Fraction
 # largest prime below this bound, E(1021), they add about 6.5 MB and 20 ms;
 # E(2048) adds 15 MB, and E(100003) would need about 10^10 entries.
 MAX_CONDUCTOR = 1024
+
+# Largest |k| the parser takes in x^k for a value x other than E(n) (which
+# is a root of unity, so any k is fine).  Repeated squaring makes the size
+# of x^k grow linearly in k: (2)^100000000 is 13 bytes of input and a
+# 100-million-bit integer.
+MAX_POWER = 1024
 
 
 class NotRational(ValueError):
@@ -125,41 +140,107 @@ def _subfield_basis(n: int, m: int):
     return tuple(pivots), linalg.inverse(sub)
 
 
-def _apply_galois(n: int, coeffs, a: int) -> list[Fraction]:
-    red = _reduction_rows(n)
-    phi = euler_phi(n)
-    out = [Fraction(0)] * phi
-    for k, c in enumerate(coeffs):
-        if c:
-            row = red[(a * k) % n]
-            for i in range(phi):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
+class _Field:
+    """Q(zeta_n) in exponent form: the arithmetic kernel of the library.
+
+    A dict {e: c} with 0 <= e < n stands for sum c * zeta_n^e.  `mul`,
+    `galois`, `combo` and `dot` work on exponents and never reduce;
+    `reduce_dict` turns a dict, or a dense list indexed by exponent, into
+    power-basis coordinates mod Phi_n.  Coefficients may be int or
+    Fraction.
+    """
+
+    def __init__(self, n: int):
+        self.exponent = n
+        self.phi = euler_phi(n)
+        self.red = _reduction_rows(n)
+
+    def mul(self, d1: dict, d2: dict) -> dict:
+        n = self.exponent
+        out: dict = {}
+        for e1, c1 in d1.items():
+            for e2, c2 in d2.items():
+                e = e1 + e2
+                if e >= n:
+                    e -= n
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    def galois(self, d: dict, a: int) -> dict:
+        """The automorphism zeta_n -> zeta_n^a; a = -1 is conjugation."""
+        n = self.exponent
+        return {a * e % n: c for e, c in d.items()}
+
+    def combo(self, weights, dicts) -> dict:
+        """Linear combination sum(w * d for w, d in zip(weights, dicts))."""
+        out: dict = {}
+        for w, d in zip(weights, dicts):
+            if w:
+                for e, c in d.items():
+                    out[e] = out.get(e, 0) + w * c
+        return {e: c for e, c in out.items() if c}
+
+    def dot(self, weights, dicts1, dicts2) -> tuple:
+        """Coordinates of sum_k w_k * a_k * b_k over paired exponent dicts."""
+        n = self.exponent
+        acc = [0] * n
+        for w, d1, d2 in zip(weights, dicts1, dicts2):
+            for e1, c1 in d1.items():
+                wc1 = w * c1
+                for e2, c2 in d2.items():
+                    e = e1 + e2
+                    if e >= n:
+                        e -= n
+                    acc[e] += wc1 * c2
+        return self.reduce_dict(acc)
+
+    def reduce_dict(self, d) -> tuple:
+        """Power-basis coordinates of an exponent dict or a dense list."""
+        red = self.red
+        if isinstance(d, dict):
+            if len(d) == 1:
+                # monomial fast path; returning the cached row by reference
+                # lets callers compare repeated reductions with `is` first
+                (e, c), = d.items()
+                if c == 1:
+                    return red[e]
+                return tuple(c * x for x in red[e])
+            d = d.items()
+        else:
+            d = enumerate(d)
+        phi = self.phi
+        out = [0] * phi
+        for e, c in d:
+            if not c:
+                continue
+            if e < phi:
+                # zeta^e is itself a basis vector
+                out[e] += c
+                continue
+            row = red[e]
+            for t in range(phi):
+                if row[t]:
+                    out[t] += c * row[t]
+        return tuple(out)
 
 
-def _minimize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+def _minimize(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    coeffs = tuple(coeffs)
     while n > 1:
         if not any(coeffs[1:]):
             return 1, (coeffs[0],)
+        F = _Field(n)
+        d = {k: c for k, c in enumerate(coeffs) if c}
         for p in prime_factors(n):
             m = n // p
             subgroup = [a for a in range(2, n) if a % m == 1 % m and math.gcd(a, n) == 1]
-            if all(_apply_galois(n, coeffs, a) == coeffs for a in subgroup):
+            if all(F.reduce_dict(F.galois(d, a)) == coeffs for a in subgroup):
                 pivots, inv = _subfield_basis(n, m)
-                y = [sum(inv[i][j] * coeffs[pivots[j]] for j in range(len(pivots)))
-                     for i in range(len(pivots))]
+                y = tuple(sum(inv[i][j] * coeffs[pivots[j]] for j in range(len(pivots)))
+                          for i in range(len(pivots)))
                 # confirm the projection reproduces the element exactly
-                red = _reduction_rows(n)
                 step = n // m
-                check = [Fraction(0)] * euler_phi(n)
-                for j, cj in enumerate(y):
-                    if cj:
-                        row = red[(j * step) % n]
-                        for i in range(len(check)):
-                            if row[i]:
-                                check[i] += cj * row[i]
-                if check != coeffs:
+                if F.reduce_dict({j * step: c for j, c in enumerate(y) if c}) != coeffs:
                     raise ArithmeticError("conductor descent produced a mismatch")
                 n, coeffs = m, y
                 break
@@ -167,7 +248,7 @@ def _minimize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]
             break
     if n == 1:
         return 1, (coeffs[0],)
-    return n, tuple(coeffs)
+    return n, coeffs
 
 
 def _poly_xgcd(f: list[Fraction], g: list[Fraction]):
@@ -254,29 +335,20 @@ class Cyclotomic:
             return Cyclotomic.from_rational(x)
         return NotImplemented
 
-    def _embed(self, big: int) -> list[Fraction]:
-        """Coordinates of self in the power basis of Q(zeta_big)."""
-        phi = euler_phi(big)
-        if big == self.conductor:
-            return list(self.coeffs)
-        red = _reduction_rows(big)
-        step = big // self.conductor
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = red[(k * step) % big]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return out
+    def terms(self, n: int) -> dict:
+        """Exponent form of self in Q(zeta_n), for a multiple n of the
+        conductor, with int coefficients where they are integral."""
+        step = n // self.conductor
+        return {k * step: c.numerator if c.denominator == 1 else c
+                for k, c in enumerate(self.coeffs) if c}
 
     def __add__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = _lcm(self.conductor, other.conductor)
-        a, b = self._embed(n), other._embed(n)
-        return Cyclotomic(n, [x + y for x, y in zip(a, b)])
+        F = _Field(n)
+        return Cyclotomic(n, F.reduce_dict(F.combo((1, 1), (self.terms(n), other.terms(n)))))
 
     __radd__ = __add__
 
@@ -303,26 +375,8 @@ class Cyclotomic:
             q = self.coeffs[0]
             return Cyclotomic(other.conductor, [c * q for c in other.coeffs])
         n = _lcm(self.conductor, other.conductor)
-        a, b = self._embed(n), other._embed(n)
-        phi = euler_phi(n)
-        red = _reduction_rows(n)
-        out = [Fraction(0)] * phi
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                e = i + j
-                if e < phi:
-                    out[e] += ai * bj
-                else:
-                    row = red[e % n]
-                    c = ai * bj
-                    for t in range(phi):
-                        if row[t]:
-                            out[t] += c * row[t]
-        return Cyclotomic(n, out)
+        F = _Field(n)
+        return Cyclotomic(n, F.reduce_dict(F.mul(self.terms(n), other.terms(n))))
 
     __rmul__ = __mul__
 
@@ -337,21 +391,8 @@ class Cyclotomic:
         if len(g) != 1:
             raise ArithmeticError("element not invertible mod Phi_n")
         scale = 1 / g[0]
-        phi = euler_phi(n)
-        coeffs = [c * scale for c in u] + [Fraction(0)] * max(0, phi - len(u))
-        # u may exceed the basis length; reduce mod Phi_n
-        red = _reduction_rows(n)
-        out = [Fraction(0)] * phi
-        for e, c in enumerate(coeffs):
-            if c:
-                if e < phi:
-                    out[e] += c
-                else:
-                    row = red[e % n]
-                    for t in range(phi):
-                        if row[t]:
-                            out[t] += c * row[t]
-        return Cyclotomic(n, out)
+        # u has degree below phi(n); reduce_dict pads it to the basis
+        return Cyclotomic(n, _Field(n).reduce_dict([c * scale for c in u]))
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
@@ -391,7 +432,8 @@ class Cyclotomic:
             return self
         if math.gcd(a, n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {n}")
-        return Cyclotomic(n, _apply_galois(n, self.coeffs, a))
+        F = _Field(n)
+        return Cyclotomic(n, F.reduce_dict(F.galois(self.terms(n), a)))
 
     # -- canonical text form ----------------------------------------------
 
@@ -434,13 +476,7 @@ class Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _zeta_cached(n: int, e: int) -> Cyclotomic:
-    phi = euler_phi(n)
-    if e < phi:
-        coeffs = [Fraction(0)] * phi
-        coeffs[e] = Fraction(1)
-    else:
-        coeffs = [Fraction(c) for c in _reduction_rows(n)[e]]
-    return Cyclotomic(n, coeffs)
+    return Cyclotomic(n, _Field(n).reduce_dict({e: 1}))
 
 
 def _lcm(a: int, b: int) -> int:
@@ -526,6 +562,8 @@ class _Parser:
             self.skip_ws()
             kpos = self.pos
             k = self.integer()
+            if abs(k) > MAX_POWER:
+                self.error(f"exponent {k} is above {MAX_POWER} in absolute value", kpos)
             if k < 0 and value.is_zero:
                 self.error("zero to a negative power", kpos)
             value = value ** k
@@ -568,9 +606,11 @@ class _Parser:
 def parse_cyclotomic(text: str) -> Cyclotomic:
     """Parse the E(n) grammar; raises CyclotomicSyntaxError with a position.
 
-    E(n)^k evaluates directly to the root of unity zeta_n^k.  An n, or a
-    conductor of the whole value, above MAX_CONDUCTOR is rejected at the
-    position of that n, before any arithmetic in Q(zeta_n) is set up."""
+    E(n)^k evaluates directly to the root of unity zeta_n^k, for any k;
+    any other x^k with |k| above MAX_POWER is rejected at the position of
+    k.  An n, or a conductor of the whole value, above MAX_CONDUCTOR is
+    rejected at the position of that n, before any arithmetic in
+    Q(zeta_n) is set up."""
     p = _Parser(text)
     value = p.expr()
     p.skip_ws()

@@ -18,6 +18,7 @@ from .chartab import (
     CharacterTable,
     ClassFunction,
     NotACharacter,
+    character_of,
     decompose,
     quotient_table,
 )
@@ -118,14 +119,7 @@ class McKayQuiver:
         self.rho = _check_rho(table, rho)
         self.matrix = mckay_matrix(table, rho)
         eng = table._engine()
-        r = table.n_classes
-        hot = [k for k, m in enumerate(self.rho) if m]
-        if len(hot) == 1 and self.rho[hot[0]] == 1:
-            self._rho_dicts = list(eng.vals[hot[0]])
-        else:
-            self._rho_dicts = [
-                eng.combo(self.rho, [eng.vals[k][c] for k in range(r)])
-                for c in range(r)]
+        self._rho_dicts = eng.rep_dicts(self.rho)
         self._rho_coords = [eng.reduce_dict(d) for d in self._rho_dicts]
 
     @property
@@ -141,14 +135,7 @@ class McKayQuiver:
         return sum(m * d for m, d in zip(self.rho, self.table.dims))
 
     def character(self) -> ClassFunction:
-        values = []
-        for c in range(self.table.n_classes):
-            v = self.table.characters[0][c] * 0
-            for k, m in enumerate(self.rho):
-                if m:
-                    v = v + m * self.table.characters[k][c]
-            values.append(v)
-        return ClassFunction(self.table, values)
+        return character_of(self.table, self.rho)
 
     def kernel_class_indices(self) -> tuple[int, ...]:
         """Classes where the character equals its identity value."""

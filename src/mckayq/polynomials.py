@@ -583,10 +583,6 @@ def _lift_tree(F: list[int], mods: list[list[int]], p: int, pK: int) -> list[lis
 # -- Zassenhaus --------------------------------------------------------------
 
 
-def _trial_divide_monic(F: IntPolynomial, cand: IntPolynomial):
-    return F.try_divide(cand)
-
-
 def _zassenhaus_monic(F: IntPolynomial) -> list[IntPolynomial]:
     """Irreducible monic factors of a monic squarefree F, F(0) != 0."""
     n = F.degree
@@ -637,7 +633,7 @@ def _zassenhaus_monic(F: IntPolynomial) -> list[IntPolynomial]:
             for i in combo:
                 prod = _sym_poly(_zmul(prod, lifted[i]), pK)
             cand = IntPolynomial(prod)
-            q = _trial_divide_monic(rem, cand)
+            q = rem.try_divide(cand)
             if q is not None:
                 out.append(cand)
                 rem = q

@@ -163,26 +163,40 @@ def strongly_connected_components(q: Quiver) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(comps, key=lambda c: c[0]))
 
 
-def weakly_connected_components(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(q.n))
+class _Partition:
+    """Union-find over range(n)."""
 
-    def find(a):
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        parent = self.parent
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as sorted tuples, sorted by first element (vertices
+        are visited in order, so both orders come out directly)."""
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            groups.setdefault(self.find(v), []).append(v)
+        return tuple(tuple(g) for g in groups.values())
+
+
+def weakly_connected_components(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    part = _Partition(q.n)
     for i in range(q.n):
         for j in range(q.n):
             if q.adjacency[i][j] > 0:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(q.n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                        key=lambda c: c[0]))
+                part.union(i, j)
+    return part.blocks()
 
 
 def is_strongly_connected(q: Quiver) -> bool:
@@ -427,29 +441,16 @@ def automorphism_orbits(q: Quiver) -> tuple[tuple[int, ...], ...]:
     weight-preserving), as sorted tuples sorted by first vertex."""
     n = q.n
     inv = _invariants(q)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    part = _Partition(n)
     for i in range(n):
         for j in range(i + 1, n):
-            if find(i) == find(j) or inv[i] != inv[j]:
+            if part.find(i) == part.find(j) or inv[i] != inv[j]:
                 continue
             full = _extend_map(q, q, inv, inv, {i: j})
             if full is not None:
                 for u, s in enumerate(full):
-                    ra, rb = find(u), find(s)
-                    if ra != rb:
-                        parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                        key=lambda c: c[0]))
+                    part.union(u, s)
+    return part.blocks()
 
 
 def find_isomorphism(q1: Quiver, q2: Quiver,

@@ -247,3 +247,14 @@ def test_verify_zero_to_a_negative_power(tmp_path, value):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "zero to a negative power" in proc.stderr
+
+
+def test_verify_power_above_the_bound(tmp_path):
+    data = table_to_json(parse_group_spec("C:2"))
+    data["characters"][1][1] = "(2)^100000000"
+    path = tmp_path / "huge_power.json"
+    path.write_text(json.dumps(data))
+    proc = run_process("verify", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "exponent 100000000 is above" in proc.stderr

@@ -2,6 +2,8 @@
 field axioms."""
 
 import cmath
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from mckayq.cyclotomic import (
     Cyclotomic,
     CyclotomicSyntaxError,
+    MAX_POWER,
     E,
     NotRational,
     cyclotomic_polynomial,
@@ -33,7 +36,10 @@ CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15]
 @st.composite
 def cyclotomics(draw):
     n = draw(st.sampled_from(CONDUCTORS))
-    coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=euler_phi(n)))
+    coeffs = draw(st.lists(
+        st.one_of(st.integers(-4, 4),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=4)),
+        min_size=1, max_size=euler_phi(n)))
     return sum((a * E(n) ** k for k, a in enumerate(coeffs)),
                Cyclotomic.zero())
 
@@ -149,12 +155,20 @@ def test_galois_and_conjugation():
 
 
 @settings(max_examples=150, deadline=None)
-@given(cyclotomics(), cyclotomics())
-def test_arithmetic_matches_float_oracle(a, b):
+@given(cyclotomics(), cyclotomics(), st.integers(-40, 40))
+def test_arithmetic_matches_float_oracle(a, b, k):
     assert abs(approx(a) + approx(b) - approx(a + b)) < 1e-6
     assert abs(approx(a) * approx(b) - approx(a * b)) < 1e-6
     assert abs(approx(a) - approx(b) - approx(a - b)) < 1e-6
     assert abs(approx(a).conjugate() - approx(a.conjugate())) < 1e-6
+    # galois(k): the stored coefficients evaluated at z^k instead of z
+    while math.gcd(k, a.conductor) != 1:
+        k += 1
+    z = cmath.exp(2j * cmath.pi / a.conductor)
+    at_zk = sum(float(c) * z ** (k * j) for j, c in enumerate(a.coeffs))
+    assert abs(at_zk - approx(a.galois(k))) < 1e-6
+    if not a.is_zero:
+        assert abs(approx(a) * approx(a.inverse()) - 1) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,6 +217,21 @@ def test_parse_errors():
     for text in ("", "E(0)", "E(4", "E(4)^", "x", "1++2", "E(-3)", "2*", "(1"):
         with pytest.raises(CyclotomicSyntaxError):
             parse_cyclotomic(text)
+
+
+def test_parse_bounds_powers():
+    # x^k beyond MAX_POWER is rejected at k, before any squaring
+    for text in ("(2)^100000000", "(1/3+E(60)+E(7))^-1025", "(E(4))^1025"):
+        start = time.process_time()
+        with pytest.raises(CyclotomicSyntaxError) as err:
+            parse_cyclotomic(text)
+        assert time.process_time() - start < 0.1
+        assert err.value.position == text.index("^") + 1
+    assert parse_cyclotomic(f"(2)^{MAX_POWER}") == 2 ** MAX_POWER
+    assert parse_cyclotomic(f"(2)^-{MAX_POWER}") == Fraction(1, 2 ** MAX_POWER)
+    # E(n)^k is a root of unity: any k
+    assert parse_cyclotomic("E(7)^100000000") == E(7) ** (100000000 % 7)
+    assert parse_cyclotomic("E(7)^-100000001") == E(7, -100000001)
 
 
 @settings(max_examples=150, deadline=None)

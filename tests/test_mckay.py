@@ -224,13 +224,22 @@ def test_dual_group_action(spec):
 
 
 def test_character_and_kernel():
-    b12 = parse_group_spec("BD:12")
-    m = McKayQuiver(b12, (0, 1, 0, 0, 1, 0))
-    ch = m.character()
-    assert ch.values == tuple(
-        b12.characters[1][c] + b12.characters[4][c] for c in range(6))
-    assert m.dims == b12.dims
-    assert m.n_vertices == 6
+    for spec, rho in (("BD:12", (0, 1, 0, 0, 1, 0)),
+                      ("BD:12", (0, 2, 0, 1, 0, 0)),
+                      ("2I", regular_rep),
+                      ("C:2xBD:8", natural_rep)):
+        t = parse_group_spec(spec)
+        rho = rho if isinstance(rho, tuple) else rho(t)
+        m = McKayQuiver(t, rho)
+        ch = m.character()
+        # oracle: the same sum over Cyclotomic objects
+        assert ch.values == tuple(
+            sum((k * t.characters[i][c] for i, k in enumerate(rho) if k), Cyclotomic.zero())
+            for c in range(t.n_classes)), spec
+        assert m.kernel_class_indices() == tuple(
+            c for c, v in enumerate(ch.values) if v == ch.values[0])
+        assert m.dims == t.dims
+        assert m.n_vertices == t.n_classes
 
 
 def test_bad_rho_rejected():
