@@ -117,19 +117,18 @@ class CharacterTable:
     def row_index(self, values) -> int | None:
         """Index of the irreducible with exactly these values, if any."""
         eng = self._engine()
-        key = tuple(eng.key_of_value(v) for v in values)
-        return eng.row_lookup.get(key)
+        return eng.row_of([_as_cyclotomic(v).terms(eng.exponent) for v in values])
 
     def dual_index(self, i: int) -> int:
         """Index of the complex conjugate of row i.
 
-        Computed on the table engine: the conjugated exponent dicts of the
-        row (`conj_vals`) are reduced and looked up in `row_lookup`, with no
-        Cyclotomic arithmetic.  `ClassFunction.conjugate` stays the
-        Cyclotomic route to the same row.
+        Computed on the table engine: the row's conjugated exponent dicts
+        (`conj_vals`) are recognised by `row_of`, with no Cyclotomic
+        arithmetic.  `ClassFunction.conjugate` stays the Cyclotomic route
+        to the same row.
         """
         eng = self._engine()
-        j = eng.row_lookup.get(tuple(eng.reduce_dict(d) for d in eng.conj_vals[i]))
+        j = eng.row_of(eng.conj_vals[i])
         if j is None:
             raise ValueError("table is not closed under complex conjugation")
         return j
@@ -209,7 +208,9 @@ class ClassFunction:
 # also holds the table's characters in exponent form.  Products are
 # exponent additions, conjugation negates exponents, and one reduction
 # mod Phi_E at the end turns an accumulated sum into canonical
-# power-basis coordinates.  Everything stays exact.
+# power-basis coordinates.  Everything stays exact.  Every caller that
+# recognises a class function (exponent dicts per class) as a row, or
+# splits it into irreducibles, does so through `row_of`/`multiplicities`.
 
 
 def _common_conductor(rows) -> int:
@@ -218,6 +219,10 @@ def _common_conductor(rows) -> int:
 
 
 class _TableEngine(_Field):
+    """Q(zeta_E) with one table's rows (`vals`, `conj_vals`, `coords`),
+    and per-table results shared by `mckay`: `product_cache`, the McKay
+    matrix of each irreducible, and `dual_action`."""
+
     def __init__(self, table: CharacterTable):
         super().__init__(_common_conductor(table.characters))
         self.table = table
@@ -228,9 +233,33 @@ class _TableEngine(_Field):
         for i, row in enumerate(self.coords):
             self.row_lookup.setdefault(tuple(row), i)
         self.product_cache: dict[int, tuple] = {}
+        self.dual_action: dict[int, tuple[int, ...]] | None = None
 
-    def key_of_value(self, v: Cyclotomic) -> tuple:
-        return self.reduce_dict(_as_cyclotomic(v).terms(self.exponent))
+    def row_of(self, dicts) -> int | None:
+        """Index of the row with these values (exponent dicts), or None."""
+        return self.row_lookup.get(tuple(self.reduce_dict(d) for d in dicts))
+
+    def multiplicities(self, dicts) -> tuple[int, ...]:
+        """Multiplicities in the irreducible basis of the class function
+        with these values (exponent dicts).
+
+        A row of the table is recognised by `row_of`; otherwise each
+        multiplicity is one `row_inner` against a conjugated row, divided
+        by the order.  NotACharacter if one is not a non-negative integer.
+        """
+        j = self.row_of(dicts)
+        if j is not None:
+            return tuple(int(i == j) for i in range(len(self.vals)))
+        order = self.table.order
+        out = []
+        for i, conj in enumerate(self.conj_vals):
+            coords = self.row_inner(dicts, conj)
+            m, rem = divmod(coords[0], order)
+            if rem or m < 0 or any(coords[1:]):
+                m = Cyclotomic(self.exponent, coords) * Fraction(1, order)
+                raise NotACharacter(f"multiplicity of row {i + 1} is {m}")
+            out.append(m)
+        return tuple(out)
 
     def rep_dicts(self, mult) -> list[dict]:
         """Exponent dicts of the character sum_k mult[k] * chi_k, per class."""
@@ -267,29 +296,18 @@ def decompose(f: ClassFunction) -> tuple[int, ...]:
     multiplicity is negative or non-integral.
 
     Computed on the table engine: f's values are embedded in the table's
-    field Q(zeta_E), and each multiplicity is one exact `row_inner`
-    against the conjugated row `conj_vals[i]`.  A value outside Q(zeta_E)
-    raises NotACharacter at once: every character of the table lies in
-    that field, so some multiplicity of such an f is not an integer.
-    `inner_product` stays the independent route over Cyclotomic objects.
+    field Q(zeta_E) and handed to `_TableEngine.multiplicities`.  A value
+    outside Q(zeta_E) raises NotACharacter at once: every character of
+    the table lies in that field, so some multiplicity of such an f is
+    not an integer.  `inner_product` stays the independent route over
+    Cyclotomic objects.
     """
-    t = f.table
-    eng = t._engine()
+    eng = f.table._engine()
     for c, v in enumerate(f.values):
         if eng.exponent % v.conductor:
             raise NotACharacter(
                 f"value {v} at class {c + 1} is not in Q(zeta_{eng.exponent})")
-    vals = [v.terms(eng.exponent) for v in f.values]
-    out = []
-    for i in range(t.n_classes):
-        coords = eng.row_inner(vals, eng.conj_vals[i])
-        q = eng.rational_of_coords(coords)
-        m = None if q is None else q / t.order
-        if m is None or m.denominator != 1 or m < 0:
-            m = Cyclotomic(eng.exponent, coords) * Fraction(1, t.order)
-            raise NotACharacter(f"multiplicity of row {i + 1} is {m}")
-        out.append(int(m))
-    return tuple(out)
+    return eng.multiplicities([v.terms(eng.exponent) for v in f.values])
 
 
 def character_of(t: CharacterTable, mult) -> ClassFunction:

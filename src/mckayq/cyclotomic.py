@@ -15,7 +15,7 @@ coordinates.  `Cyclotomic` objects and the character-table engine
 
 Text form follows the E(n) grammar: E(12)^7-E(12)^5, 1/2*E(4)+3, etc.
 Parsed conductors are bounded by MAX_CONDUCTOR and parsed powers of
-values other than E(n) by MAX_POWER.
+values other than E(n) by MAX_POWER and MAX_POWER_BITS.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ MAX_CONDUCTOR = 1024
 # Largest |k| the parser takes in x^k for a value x other than E(n) (which
 # is a root of unity, so any k is fine).  Repeated squaring makes the size
 # of x^k grow linearly in k: (2)^100000000 is 13 bytes of input and a
-# 100-million-bit integer.
+# 100-million-bit integer.  MAX_POWER_BITS bounds |k| times the bit length
+# of x's largest numerator or denominator, so that a power of a power,
+# ((2)^1024)^1024, is rejected before it builds a million-bit integer.
 MAX_POWER = 1024
+MAX_POWER_BITS = 1 << 16
 
 
 class NotRational(ValueError):
@@ -564,6 +567,9 @@ class _Parser:
             k = self.integer()
             if abs(k) > MAX_POWER:
                 self.error(f"exponent {k} is above {MAX_POWER} in absolute value", kpos)
+            bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in value.coeffs)
+            if abs(k) * bits > MAX_POWER_BITS:
+                self.error(f"x^{k} of a {bits}-bit x is above {MAX_POWER_BITS} bits", kpos)
             if k < 0 and value.is_zero:
                 self.error("zero to a negative power", kpos)
             value = value ** k
@@ -607,10 +613,11 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
     """Parse the E(n) grammar; raises CyclotomicSyntaxError with a position.
 
     E(n)^k evaluates directly to the root of unity zeta_n^k, for any k;
-    any other x^k with |k| above MAX_POWER is rejected at the position of
-    k.  An n, or a conductor of the whole value, above MAX_CONDUCTOR is
-    rejected at the position of that n, before any arithmetic in
-    Q(zeta_n) is set up."""
+    any other x^k with |k| above MAX_POWER, or |k| times the bit length
+    of x's largest numerator or denominator above MAX_POWER_BITS, is
+    rejected at the position of k.  An n, or a conductor of the whole
+    value, above MAX_CONDUCTOR is rejected at the position of that n,
+    before any arithmetic in Q(zeta_n) is set up."""
     p = _Parser(text)
     value = p.expr()
     p.skip_ws()

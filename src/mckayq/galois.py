@@ -203,9 +203,5 @@ def replay_certificate(cert: NonsolvabilityCertificate,
 def component_solvability(q, prime_budget: int = 10000):
     """Per weak component of a quiver: (vertex tuple, verdict for the
     characteristic polynomial of the induced adjacency block)."""
-    from .quiver import char_poly, weakly_connected_components
-    out = []
-    for comp in weakly_connected_components(q):
-        sub = q.induced(comp)
-        out.append((comp, solvability(char_poly(sub), prime_budget)))
-    return tuple(out)
+    from .obstructions import QuiverAnalysis
+    return QuiverAnalysis(q, prime_budget).component_solvability()

@@ -3,16 +3,18 @@
 Given a character table and a representation rho (a multiplicity vector
 over the irreducibles), the McKay quiver has one vertex per irreducible
 and adjacency entry [i][j] equal to the multiplicity of irreducible j in
-rho tensor irreducible i.  Everything here is exact integer arithmetic
-on cyclotomic values; the expensive verifications recompute the same
-quantity along two independent routes and raise InternalInconsistency
-if the routes ever disagree.
+rho tensor irreducible i.  Everything here is exact arithmetic on the
+table engine, whose `multiplicities` and `row_of` split and recognise
+products of characters; each irreducible's McKay matrix and the dual
+action are computed once per table and kept there.  The expensive
+verifications recompute the same quantity along two independent routes
+and raise InternalInconsistency if the routes ever disagree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chartab import (
     CharacterTable,
@@ -47,31 +49,18 @@ def _decompose_products(t: CharacterTable, left) -> tuple:
     """Rows of multiplicities of left * chi_i, one row per irreducible i.
 
     `left` gives the multiplier's value on each class as a sparse
-    exponent dict of the table engine.  When the product of characters
-    is itself a row of the table it is recognized by hash lookup;
-    otherwise the multiplicities come from exact inner products.
+    exponent dict of the table engine; each product is split by
+    `_TableEngine.multiplicities`.
     """
     eng = t._engine()
-    r = t.n_classes
     rows = []
-    for i in range(r):
-        prod = [eng.mul(left[c], eng.vals[i][c]) for c in range(r)]
-        j = eng.row_lookup.get(tuple(eng.reduce_dict(d) for d in prod))
-        if j is not None:
-            row = [0] * r
-            row[j] = 1
-            rows.append(tuple(row))
-            continue
-        row = []
-        for j in range(r):
-            q = eng.rational_of_coords(eng.row_inner(prod, eng.conj_vals[j]))
-            m = None if q is None else q / t.order
-            if m is None or m.denominator != 1 or m < 0:
-                raise ValueError(
-                    f"product with row {i + 1} does not decompose integrally; "
-                    f"the table is not a character table")
-            row.append(int(m))
-        rows.append(tuple(row))
+    for i, row in enumerate(eng.vals):
+        try:
+            rows.append(eng.multiplicities([eng.mul(a, b) for a, b in zip(left, row)]))
+        except NotACharacter:
+            raise ValueError(
+                f"product with row {i + 1} does not decompose integrally; "
+                f"the table is not a character table") from None
     return tuple(rows)
 
 
@@ -165,29 +154,11 @@ def eigen_check(mq: McKayQuiver) -> bool:
     satisfy A v = chi_rho(c) v; the check is exact and independent of
     how the matrix was assembled.
     """
-    t = mq.table
-    eng = t._engine()
-    r = t.n_classes
-    phi = eng.phi
-    for c in range(r):
-        rho_d = mq._rho_dicts[c]
-        for i in range(r):
-            rhs = eng.reduce_dict(eng.mul(rho_d, eng.vals[i][c]))
-            row = mq.matrix[i]
-            live = [j for j in range(r) if row[j]]
-            if len(live) == 1 and row[live[0]] == 1:
-                lhs = eng.coords[live[0]][c]
-                if lhs is rhs or lhs == rhs:
-                    continue
-                return False
-            acc = [0] * phi
-            for j in live:
-                a = row[j]
-                co = eng.coords[j][c]
-                for s in range(phi):
-                    if co[s]:
-                        acc[s] += a * co[s]
-            if tuple(acc) != rhs:
+    eng = mq.table._engine()
+    for column, rho_d in zip(zip(*eng.vals), mq._rho_dicts):
+        for row, value in zip(mq.matrix, column):
+            if (eng.reduce_dict(eng.combo(row, column))
+                    != eng.reduce_dict(eng.mul(rho_d, value))):
                 return False
     return True
 
@@ -227,10 +198,11 @@ def component_partition(mq: McKayQuiver) -> tuple[tuple[int, ...], ...]:
     t = mq.table
     eng = t._engine()
     kernel = mq.kernel_class_indices()
+    # rows compared as coordinates times lcm(dims) / d_i, all integers
+    scale = math.lcm(*t.dims)
     groups: dict[tuple, list[int]] = {}
-    for i in range(t.n_classes):
-        di = t.dims[i]
-        sig = tuple(tuple(Fraction(x) / di for x in eng.coords[i][c])
+    for i, di in enumerate(t.dims):
+        sig = tuple(tuple(x * (scale // di) for x in eng.coords[i][c])
                     for c in kernel)
         groups.setdefault(sig, []).append(i)
     prop = _canonical_partition(groups.values())
@@ -343,27 +315,29 @@ def dual_group_action(t: CharacterTable) -> dict[int, tuple[int, ...]]:
     Multiplying by a one-dimensional character permutes the
     irreducibles; the result maps each one-dimensional row index to its
     permutation.  A product that fails to land on a row means the table
-    is internally inconsistent.
+    is internally inconsistent.  The action is computed once per table,
+    kept on the table engine, and returned as a copy.
     """
     eng = t._engine()
-    r = t.n_classes
-    out: dict[int, tuple[int, ...]] = {}
-    for l in range(r):
-        if t.dims[l] != 1:
-            continue
-        perm = []
-        for i in range(r):
-            prod = [eng.mul(eng.vals[l][c], eng.vals[i][c]) for c in range(r)]
-            j = eng.row_lookup.get(tuple(eng.reduce_dict(d) for d in prod))
-            if j is None:
+    if eng.dual_action is None:
+        r = t.n_classes
+        action: dict[int, tuple[int, ...]] = {}
+        for l in range(r):
+            if t.dims[l] != 1:
+                continue
+            perm = []
+            for i in range(r):
+                j = eng.row_of([eng.mul(a, b) for a, b in zip(eng.vals[l], eng.vals[i])])
+                if j is None:
+                    raise InternalInconsistency(
+                        f"row {l + 1} * row {i + 1} is not a row of {t.name}")
+                perm.append(j)
+            if len(set(perm)) != r:
                 raise InternalInconsistency(
-                    f"row {l + 1} * row {i + 1} is not a row of {t.name}")
-            perm.append(j)
-        if len(set(perm)) != r:
-            raise InternalInconsistency(
-                f"row {l + 1} of {t.name} does not act by a permutation")
-        out[l] = tuple(perm)
-    return out
+                    f"row {l + 1} of {t.name} does not act by a permutation")
+            action[l] = tuple(perm)
+        eng.dual_action = action
+    return dict(eng.dual_action)
 
 
 def dual_action_simply_transitive(t: CharacterTable) -> bool:

@@ -141,8 +141,8 @@ class QuiverAnalysis:
         return self._verdicts[f]
 
     def component_solvability(self):
-        """As galois.component_solvability: (component, verdict) per weak
-        component."""
+        """(component, verdict for the char poly of its induced block)
+        per weak component; `galois.component_solvability` returns this."""
         return tuple((comp, self.solvability(self.char_poly(comp)))
                      for comp in self.weak_components)
 

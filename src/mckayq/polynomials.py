@@ -28,6 +28,18 @@ class BadPrime(ValueError):
     squarefree, so it says nothing about the factor pattern."""
 
 
+def _zmul(a, b):
+    """Schoolbook product of two coefficient lists over Z."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
 class IntPolynomial:
     """Dense univariate polynomial over Z, coefficients constant-first."""
 
@@ -106,15 +118,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        return IntPolynomial(_zmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -354,14 +358,6 @@ def _fp_from(f: IntPolynomial, p: int) -> list[int]:
     return _fp_trim([c % p for c in f.coeffs])
 
 
-def _fp_add(a, b, p):
-    out = list(a) if len(a) >= len(b) else list(b)
-    small = b if len(a) >= len(b) else a
-    for i, c in enumerate(small):
-        out[i] = (out[i] + c) % p
-    return _fp_trim(out)
-
-
 def _fp_sub(a, b, p):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
@@ -370,14 +366,7 @@ def _fp_sub(a, b, p):
 
 
 def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _fp_trim([c % p for c in out])
+    return _fp_trim([c % p for c in _zmul(a, b)])
 
 
 def _fp_scale(a, k, p):
@@ -518,17 +507,6 @@ def _sym(c: int, m: int) -> int:
 
 def _sym_poly(coeffs, m) -> list[int]:
     return [_sym(c, m) for c in coeffs]
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
 
 
 def _lift_pair(F, g, h, s, t, p, pK):

@@ -95,6 +95,16 @@ def test_group_exponent_bound(capsys, spec, exponent):
     assert code == 2 and f"exponent {exponent}, above 1024" in err
 
 
+@pytest.mark.parametrize("spec, order", [("C:512", 512), ("BD:508", 508),
+                                         ("BD:2048", 2048),
+                                         ("x".join(["C:2"] * 9), 512)])
+def test_group_order_bound(capsys, spec, order):
+    start = time.process_time()
+    code, _, err = run(capsys, "table", spec)
+    assert time.process_time() - start < 1.0
+    assert code == 2 and f"order {order}, above 256" in err
+
+
 # -- quiver ----------------------------------------------------------------------
 
 

@@ -234,6 +234,19 @@ def test_parse_bounds_powers():
     assert parse_cyclotomic("E(7)^-100000001") == E(7, -100000001)
 
 
+def test_parse_bounds_the_size_of_powers():
+    # a power of a power is rejected by the size of its value, at its k
+    for text in ("((2)^1024)^1024", "(((2)^1024)^1024)^1024"):
+        start = time.process_time()
+        with pytest.raises(CyclotomicSyntaxError) as err:
+            parse_cyclotomic(text)
+        assert time.process_time() - start < 0.1
+        assert err.value.position == text.index("^", text.index("^") + 1) + 1
+    assert parse_cyclotomic("(2)^1024") == 2 ** 1024
+    assert parse_cyclotomic("((2)^32)^32") == 2 ** 1024
+    assert parse_cyclotomic("E(7)^100000000") == E(7) ** (100000000 % 7)
+
+
 @settings(max_examples=150, deadline=None)
 @given(cyclotomics())
 def test_parse_print_round_trip(a):

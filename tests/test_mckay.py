@@ -209,6 +209,23 @@ def test_walk_cross_check_catches_doctored_matrix():
         walk_multiplicity(m, 0, 0, 2)
 
 
+@pytest.mark.parametrize("spec", ["C:7", "BD:12", "2T", "2I", "C:2xBD:8"])
+def test_eigen_check_rejects_a_raised_entry(spec):
+    t = parse_group_spec(spec)
+    r = t.n_classes
+    last = tuple(int(k == r - 1) for k in range(r))
+    for rho in (natural_rep(t), regular_rep(t), last):
+        m = McKayQuiver(t, rho)
+        good = m.matrix
+        assert eigen_check(m)
+        for i in range(r):
+            for j in {i, (i + 1) % r}:
+                rows = [list(row) for row in good]
+                rows[i][j] += 1
+                m.matrix = tuple(tuple(row) for row in rows)
+                assert not eigen_check(m), (spec, rho, i, j)
+
+
 # -- the one-dimensional rows as a permutation action ---------------------------------
 
 

@@ -3,8 +3,10 @@
 Parsing E(n)^k, `decompose`, `dual_index` and the natural multiplicities
 of direct products run on the table engine or on canonical roots of
 unity; `analyze` shares one QuiverAnalysis with the battery it embeds.
-Every test here recomputes the same quantity the old way (Cyclotomic
-arithmetic, `inner_product`, separate library calls) and compares.
+These tests recompute the same quantity the old way (Cyclotomic
+arithmetic, `inner_product`, separate library calls) and compare, or
+count calls to show that a shared quantity (one analysis, one dual
+group action per table) is computed once.
 """
 
 import json
@@ -41,12 +43,13 @@ from mckayq.cyclotomic import (
     parse_cyclotomic,
 )
 from mckayq.galois import component_solvability, solvability
-from mckayq.mckay import McKayQuiver
+from mckayq.mckay import McKayQuiver, dual_action_simply_transitive, dual_group_action
 from mckayq.quiver import (
     Quiver,
     char_poly,
     reduced_weight_vector,
     strongly_connected_components,
+    weakly_connected_components,
 )
 
 
@@ -168,6 +171,18 @@ def test_engine_decompose_matches_inner_products(spec, data):
         if m:
             f = f + m * t.irreducible(k)
     assert_routes_agree(f * scale)
+    a, b = data.draw(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1)))
+    assert_routes_agree(t.irreducible(a) * t.irreducible(b))
+
+
+def test_decompose_recognises_every_irreducible(monkeypatch):
+    inner = _counting(monkeypatch, chartab._TableEngine, "row_inner")
+    for spec in catalog_specs(48):
+        t = parse_group_spec(spec)
+        r = t.n_classes
+        for i in range(r):
+            assert decompose(t.irreducible(i)) == tuple(int(k == i) for k in range(r))
+    assert inner == []
 
 
 def test_engine_decompose_non_characters():
@@ -192,6 +207,21 @@ def test_dual_index_matches_conjugate_route():
         for i in range(t.n_classes):
             conj = t.row_index([v.conjugate() for v in t.characters[i]])
             assert t.dual_index(i) == conj, (spec, i)
+
+
+# -- the dual group action, once per table ------------------------------------------
+
+
+def test_dual_action_is_computed_once(monkeypatch):
+    muls = _counting(monkeypatch, cyclotomic._Field, "mul")
+    t = parse_group_spec("BD:16")
+    action = dual_group_action(t)
+    assert muls
+    del muls[:]
+    action.clear()  # the caller's copy, not the one kept on the engine
+    again = dual_group_action(t)
+    assert dual_action_simply_transitive(t)
+    assert sorted(again) == [0, 1, 2, 3] and muls == []
 
 
 # -- natural multiplicities of direct products -------------------------------------------
@@ -254,8 +284,9 @@ def test_analyze_matches_library_calls(capsys, tmp_path, name):
     cp = char_poly(q)
     assert report["char_poly"] == str(cp)
     assert report["solvability"] == solvability(cp, int(budget)).to_json()
-    assert (obstructions.QuiverAnalysis(q, int(budget)).component_solvability()
-            == component_solvability(q, int(budget)))
+    assert component_solvability(q, int(budget)) == tuple(
+        (comp, solvability(char_poly(q.induced(comp)), int(budget)))
+        for comp in weakly_connected_components(q))
 
 
 def _counting(monkeypatch, module, name):
