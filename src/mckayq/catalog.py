@@ -198,10 +198,18 @@ def direct_product(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
                 size=c1.size * c2.size,
                 power2=c1.power2 * r2 + c2.power2,
                 inverse=c1.inverse * r2 + c2.inverse))
+    products = {}  # each distinct v1 * v2 is computed once
     rows = []
     for row1 in t1.characters:
         for row2 in t2.characters:
-            rows.append([v1 * v2 for v1 in row1 for v2 in row2])
+            row = []
+            for v1 in row1:
+                for v2 in row2:
+                    v = products.get((v1, v2))
+                    if v is None:
+                        v = products[v1, v2] = v1 * v2
+                    row.append(v)
+            rows.append(row)
     t = CharacterTable(f"{t1.name}x{t2.name}", t1.order * t2.order,
                        classes, rows)
     n1 = getattr(t1, "natural_multiplicities", None)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .polynomials import IntPolynomial, _q_divmod
+from .polynomials import cyclotomic_polynomial, prime_factors
 
 Rational = Fraction
 
@@ -58,52 +58,11 @@ class CyclotomicSyntaxError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     for p in prime_factors(n):
         result = result // p * (p - 1)
     return result
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, constant term first, monic."""
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by Phi_d for every proper divisor d
-    poly = IntPolynomial([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n)[:-1]:
-        poly = poly.try_divide(IntPolynomial(cyclotomic_polynomial(d)))
-        if poly is None:
-            raise ArithmeticError("non-exact polynomial division")
-    return poly.coeffs
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +211,21 @@ def _minimize(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
     if n == 1:
         return 1, (coeffs[0],)
     return n, coeffs
+
+
+def _q_divmod(a: list[Fraction], b: list[Fraction]):
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv = 1 / b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        f = a[k + len(b) - 1] * inv
+        q[k] = f
+        if f:
+            for i, bc in enumerate(b):
+                a[k + i] -= f * bc
+    while a and not a[-1]:
+        a.pop()
+    return q, a
 
 
 def _poly_xgcd(f: list[Fraction], g: list[Fraction]):

@@ -1,14 +1,16 @@
 """Solvability screening for Galois groups of integer polynomials.
 
-The decision procedure factors over Q, declares factors of degree at
-most 4 solvable (as is every cyclotomic factor, whose Galois group is
-abelian), and hunts for nonsolvability witnesses on the remaining
-factors: degree patterns of the factor modulo good primes are
-Frobenius cycle types, and two classical cycle-type rules force the
-Galois group to contain the alternating group or be the full symmetric
-group.  A verdict of "not_solvable" always carries a certificate that
-can be replayed independently; absence of a witness within the prime
-budget leaves the verdict "unknown", never "solvable".
+The decision procedure factors over Q and declares solvable every
+factor of degree at most 4 and every cyclotomic factor Phi_d, whose
+Galois group is abelian.  `polynomials.cyclotomic_index` recognises
+Phi_d from the same candidate list that `factor_over_Q` divides out
+before Zassenhaus.  On the remaining factors it hunts for
+nonsolvability witnesses: degree patterns of the factor modulo good
+primes are Frobenius cycle types, and two classical cycle-type rules
+force the Galois group to contain the alternating group or be the full
+symmetric group.  A verdict of "not_solvable" always carries a
+certificate that can be replayed independently; absence of a witness
+within the prime budget leaves the verdict "unknown", never "solvable".
 
 Both rules are sound for irreducible factors:
 
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .cyclotomic import cyclotomic_polynomial, euler_phi
 from .polynomials import (
     BadPrime,
     IntPolynomial,
     MAX_FACTOR_DEGREE,
     PolynomialSyntaxError,
+    cyclotomic_index,
     ddf_pattern,
     factor_over_Q,
     is_prime,
@@ -113,18 +114,6 @@ def _rule_for_pattern(n: int, pattern: tuple[int, ...]) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_index(coeffs: tuple[int, ...]) -> int | None:
-    """d with Phi_d equal to the given monic coefficients, or None.
-    phi(d) >= sqrt(d/2) bounds the candidates by twice the degree
-    squared."""
-    n = len(coeffs) - 1
-    for d in range(1, 2 * n * n + 2):
-        if euler_phi(d) == n and cyclotomic_polynomial(d) == coeffs:
-            return d
-    return None
-
-
 def _witness_for_factor(f: IntPolynomial, prime_budget: int):
     for p in primes_below(prime_budget):
         try:
@@ -141,7 +130,8 @@ def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
                 factors=None, witnesses=None) -> SolvabilityVerdict:
     """Decide solvability of the Galois group of f where possible.
 
-    Verdicts: "solvable" when every irreducible factor has degree <= 4;
+    Verdicts: "solvable" when every irreducible factor has degree <= 4
+    or is cyclotomic;
     "not_solvable" when some factor yields a certificate within the
     budget; "unknown" otherwise.  Raising the budget can only move
     "unknown" to "not_solvable".
@@ -162,7 +152,7 @@ def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
     for g in factors:
         if g.degree <= 4:
             continue
-        if g.is_monic and _cyclotomic_index(g.coeffs) is not None:
+        if cyclotomic_index(g) is not None:
             continue  # roots of unity, abelian Galois group
         if g not in witnesses:
             witnesses[g] = _witness_for_factor(g, prime_budget)

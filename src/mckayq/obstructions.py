@@ -116,12 +116,14 @@ class QuiverAnalysis:
 
     def weighting(self, comp) -> WeightVector | None:
         """The reduced weighting of the induced block, None when the
-        block is not strongly connected or has none."""
+        block is not strongly connected or has none; its candidate
+        eigenvalues come from the block's factored char poly."""
         if comp not in self._weightings:
             sub = self.induced(comp)
             strong = (len(self.strong_components) == 1 if sub is self.q
                       else is_strongly_connected(sub))
-            self._weightings[comp] = reduced_weight_vector(sub) if strong else None
+            self._weightings[comp] = reduced_weight_vector(
+                sub, self.factors(self.char_poly(comp))) if strong else None
         return self._weightings[comp]
 
     def factors(self, f: IntPolynomial) -> tuple[IntPolynomial, ...]:

@@ -1,11 +1,15 @@
 """Exact integer polynomial arithmetic and factorization over Q.
 
-Coefficients are stored constant-first.  Factorization is classical
-Zassenhaus: squarefree split (Yun), distinct-degree and equal-degree
+Coefficients are stored constant-first.  Factorization runs in three
+stages: a squarefree split (Yun); exact division of each squarefree part
+by every cyclotomic polynomial Phi_d of small enough degree (Phi_d is
+irreducible, so each quotient found is a final factor); and classical
+Zassenhaus on what is left: distinct-degree and equal-degree
 factorization modulo a good odd prime, Hensel lifting to a Mignotte
-coefficient bound, then subset recombination.  Everything is
-deterministic: the equal-degree stage draws its randomness from a seed
-folded out of the polynomial and the prime.
+coefficient bound, then subset recombination.  The char polys of McKay
+quivers are mostly products of Phi_d, so most of them never reach
+Zassenhaus.  Everything is deterministic: the equal-degree stage draws
+its randomness from a seed folded out of the polynomial and the prime.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import math
 import random
 import re
-from fractions import Fraction
+from functools import lru_cache
 
 MAX_FACTOR_DEGREE = 64
 
@@ -238,35 +242,33 @@ def parse_polynomial(text: str) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-# -- gcd and squarefree machinery over Q ---------------------------------
+# -- gcd and squarefree machinery -------------------------------------------
 
 
-def _q_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        f = a[k + len(b) - 1] * inv
-        q[k] = f
-        if f:
-            for i, bc in enumerate(b):
-                a[k + i] -= f * bc
-    while a and not a[-1]:
-        a.pop()
-    return q, a
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b, over Z:
+    a is scaled by lc(b) before each cancellation of its top term."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
+        if lb != 1:
+            r = [x * lb for x in r]
+        for i, bc in enumerate(b):
+            r[i + shift] -= c * bc
+        while r and r[-1] == 0:
+            r.pop()
+    g = math.gcd(*r)
+    return [x // g for x in r] if r else r
 
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z with positive leading coefficient."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
+    """Primitive gcd over Z with positive leading coefficient, by a
+    primitive pseudo-remainder sequence (integers only)."""
+    a, b = list(f.primitive().coeffs), list(g.primitive().coeffs)
     while b:
-        _, r = _q_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return IntPolynomial(())
-    den = math.lcm(*(c.denominator for c in a))
-    return IntPolynomial([int(c * den) for c in a]).primitive()
+        a, b = b, _pseudo_rem(a, b)
+    return IntPolynomial(a).primitive()
 
 
 def squarefree_part(f: IntPolynomial) -> IntPolynomial:
@@ -322,18 +324,149 @@ def primes_below(n: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson & Webster 2015, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n below MR_BOUND (about 3.3e24);
+    raises ValueError above it rather than guess."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = 17
+    if n < 43 * 43:
+        return True
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is above the deterministic primality bound")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+# -- cyclotomic polynomials -------------------------------------------------
+
+
+def _at_power(coeffs, k: int) -> IntPolynomial:
+    """f(x^k) from the coefficients of f."""
+    out = [0] * ((len(coeffs) - 1) * k + 1)
+    out[::k] = coeffs
+    return IntPolynomial(out)
+
+
+@lru_cache(maxsize=256)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, constant term first, monic."""
+    if n < 1:
+        raise ValueError("Phi_n needs n >= 1")
+    f = IntPolynomial((-1, 1))
+    rad = 1
+    for p in prime_factors(n):
+        # Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m
+        f = _at_power(f.coeffs, p).try_divide(f)
+        rad *= p
+    # Phi_n(x) = Phi_rad(n)(x^(n / rad(n)))
+    return _at_power(f.coeffs, n // rad).coeffs
+
+
+@lru_cache(maxsize=1)
+def _cyclotomic_candidates() -> tuple[tuple[int, int, int], ...]:
+    """(phi(d), d, Phi_d(2)) for every d with phi(d) <= MAX_FACTOR_DEGREE,
+    sorted; built on first use.
+
+    phi is multiplicative with phi(p^a) = (p-1)*p^(a-1), so the d are the
+    products of prime powers with p <= n+1 whose phis multiply to at most n.
+    Phi_d(2) is the product over the subsets S of the distinct primes of d
+    of (2^(d/prod S) - 1)^((-1)^|S|), so no Phi_d is built here."""
+    n = MAX_FACTOR_DEGREE
+    found = [(1, 1, ())]
+    for p in primes_below(n + 2):
+        for d, phi, ps in list(found):
+            q, f = p, phi * (p - 1)
+            while f <= n:
+                found.append((d * q, f, ps + (p,)))
+                q *= p
+                f *= p
+    out = []
+    for d, phi, ps in found:
+        num = den = 1
+        for mask in range(1 << len(ps)):
+            e = d
+            for i, p in enumerate(ps):
+                if mask >> i & 1:
+                    e //= p
+            if bin(mask).count("1") % 2:
+                den *= (1 << e) - 1
+            else:
+                num *= (1 << e) - 1
+        out.append((phi, d, num // den))
+    return tuple(sorted(out))
+
+
+def cyclotomic_index(f: IntPolynomial) -> int | None:
+    """The d with f = Phi_d, or None (always None above degree
+    MAX_FACTOR_DEGREE)."""
+    if f.degree < 1 or not f.is_monic:
+        return None
+    at2 = f.evaluate(2)
+    for phi, d, value in _cyclotomic_candidates():
+        if phi > f.degree:
+            break
+        if phi == f.degree and value == at2 and cyclotomic_polynomial(d) == f.coeffs:
+            return d
+    return None
+
+
+def _split_cyclotomic(g: IntPolynomial):
+    """([Phi_d dividing g], g divided by them) for a squarefree g.
+
+    Phi_d | g forces Phi_d(2) | g(2), an integer test that discards most
+    candidates before the exact division."""
+    found = []
+    at2 = g.evaluate(2)
+    for phi, d, value in _cyclotomic_candidates():
+        if phi > g.degree:
+            break
+        if at2 % value:
+            continue
+        phi_d = IntPolynomial(cyclotomic_polynomial(d))
+        q = g.try_divide(phi_d)
+        if q is not None:
+            found.append(phi_d)
+            g = q
+            at2 //= value
+    return found, g
 
 
 def _odd_primes():
@@ -630,6 +763,8 @@ def _factor_squarefree(g: IntPolynomial) -> list[IntPolynomial]:
     while g.degree >= 1 and g.constant == 0:
         out.append(IntPolynomial.x())
         g = g.try_divide(IntPolynomial.x())
+    cyclotomic, g = _split_cyclotomic(g)
+    out += cyclotomic
     if g.degree < 1:
         return out
     if g.degree == 1:

@@ -4,8 +4,10 @@ eigen-weightings, exact characteristic polynomials, automorphism orbits,
 isomorphism testing, and affine ADE recognition.
 
 Everything is exact.  Eigenspaces come from the fraction-free integer
-elimination in linalg.py; the positive combination of an eigenspace
-basis and the characteristic polynomial are computed over Fraction.
+elimination in linalg.py, the positive combination of an eigenspace
+basis is computed over Fraction, and the characteristic polynomial is
+computed modulo word-sized primes and recovered by CRT under a bound
+that every coefficient obeys.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 from .linalg import nullspace
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, factor_over_Q, is_prime
 
 
 class QuiverFormatError(ValueError):
@@ -313,14 +316,22 @@ def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
     return WeightVector(k, weights)
 
 
-def reduced_weight_vector(q: Quiver) -> WeightVector | None:
-    """The unique strictly positive integer eigen-weighting, scanning the
-    integer eigenvalue candidates between the extreme row sums.  At most
-    one eigenvalue can carry a strictly positive eigenvector, so the
-    first hit is the answer."""
+def reduced_weight_vector(q: Quiver, factors=None) -> WeightVector | None:
+    """The unique strictly positive integer eigen-weighting.
+
+    Only an eigenvalue can carry an eigenvector, at most one eigenvalue
+    can carry a strictly positive one, and that one lies between the
+    extreme row sums.  So the candidates are the integer roots of the
+    char poly in that range, read off its linear factors and tried in
+    ascending order; the first hit is the answer.  `factors` is
+    factor_over_Q(char_poly(q)), computed here when not given (so a
+    quiver on more than MAX_FACTOR_DEGREE vertices raises ValueError)."""
     sums = [sum(row) for row in q.adjacency]
     lo, hi = max(1, min(sums)), max(sums)
-    for k in range(lo, hi + 1):
+    if factors is None:
+        factors = factor_over_Q(char_poly(q))
+    roots = {-g.constant for g in factors if g.degree == 1 and g.lc == 1}
+    for k in sorted(k for k in roots if lo <= k <= hi):
         wv = k_weight_vector(q, k)
         if wv is not None:
             return wv
@@ -330,48 +341,87 @@ def reduced_weight_vector(q: Quiver) -> WeightVector | None:
 # -- characteristic polynomial -------------------------------------------------
 
 
-def char_poly(q: Quiver) -> IntPolynomial:
-    """det(xI - A), computed exactly: similarity reduction to Hessenberg
-    form over Fraction, then the standard three-term recurrence on
+@lru_cache(maxsize=None)
+def _crt_prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^61; callers ask for i = 0, 1, ...
+    in turn, so the cache holds as many primes as the largest bound met."""
+    p = _crt_prime(i - 1) if i else (1 << 61) + 1
+    p -= 2
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def _char_poly_mod(A, p: int) -> list[int]:
+    """det(xI - A) mod p, constant first: similarity reduction to
+    Hessenberg form over F_p, then the standard three-term recurrence on
     leading principal minors."""
-    n = q.n
-    H = [[Fraction(v) for v in row] for row in q.adjacency]
+    n = len(A)
+    H = [[v % p for v in row] for row in A]
     for c in range(n - 2):
         piv = next((r for r in range(c + 1, n) if H[r][c]), None)
         if piv is None:
             continue
         if piv != c + 1:
             H[piv], H[c + 1] = H[c + 1], H[piv]
-            for r in range(n):
-                H[r][piv], H[r][c + 1] = H[r][c + 1], H[r][piv]
+            for row in H:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        inv = pow(H[c + 1][c], -1, p)
+        top = H[c + 1]
         for r in range(c + 2, n):
-            if H[r][c]:
-                f = H[r][c] / H[c + 1][c]
-                for j in range(n):
-                    H[r][j] -= f * H[c + 1][j]
-                for i in range(n):
-                    H[i][c + 1] += f * H[i][r]
-    # c[m] = charpoly of the leading m x m block
-    polys: list[list[Fraction]] = [[Fraction(1)]]
+            f = H[r][c] * inv % p
+            if f:
+                H[r] = [(a - f * b) % p for a, b in zip(H[r], top)]
+                for row in H:
+                    row[c + 1] = (row[c + 1] + f * row[r]) % p
+    # polys[m] = charpoly of the leading m x m block
+    polys = [[1]]
     for m in range(1, n + 1):
         d = H[m - 1][m - 1]
         prev = polys[m - 1]
-        cur = [Fraction(0)] + prev
+        cur = [0] + prev
         for i, v in enumerate(prev):
             cur[i] -= d * v
-        beta = Fraction(1)
+        beta = 1
         for i in range(m - 1, 0, -1):
-            beta *= H[i][i - 1]
+            beta = beta * H[i][i - 1] % p
             if not beta:
                 break
             coef = H[i - 1][m - 1] * beta
             if coef:
                 for j, v in enumerate(polys[i - 1]):
                     cur[j] -= coef * v
-        polys.append(cur)
-    out = polys[n]
-    assert all(c.denominator == 1 for c in out)
-    return IntPolynomial([int(c) for c in out])
+        polys.append([v % p for v in cur])
+    return polys[n]
+
+
+def _char_poly(A) -> list[int]:
+    """det(xI - A) over Z for a square integer matrix, constant first.
+
+    Every eigenvalue has |lambda| <= R, the largest absolute row sum, so
+    the coefficient of x^(n-k), a signed sum of C(n, k) products of k
+    eigenvalues, is at most C(n, k) * R^k in absolute value.  The
+    residues modulo word-sized primes are combined by CRT until the
+    modulus exceeds twice the largest of these bounds; the symmetric
+    residues are then the coefficients themselves."""
+    n = len(A)
+    R = max((sum(abs(v) for v in row) for row in A), default=0)
+    bound = 2 * max(comb(n, k) * R ** k for k in range(n + 1))
+    coeffs, M, used = [0] * (n + 1), 1, 0
+    while M <= bound:
+        p = _crt_prime(used)
+        used += 1
+        res = _char_poly_mod(A, p)
+        t = pow(M, -1, p)
+        coeffs = [c + M * ((r - c) * t % p) for c, r in zip(coeffs, res)]
+        M *= p
+    return [c - M if c > M // 2 else c for c in coeffs]
+
+
+def char_poly(q: Quiver) -> IntPolynomial:
+    """det(xI - A), exact: computed modulo primes under a coefficient
+    bound (see `_char_poly`), without rational arithmetic."""
+    return IntPolynomial(_char_poly(q.adjacency))
 
 
 # -- automorphisms and isomorphism ---------------------------------------------

@@ -123,6 +123,21 @@ def test_direct_products():
     assert parse_group_spec("C:2xBD:8").order == 16
 
 
+def test_direct_product_multiplies_each_distinct_pair_once(monkeypatch):
+    c5, c7 = cyclic_table(5), cyclic_table(7)
+    calls = []
+    real_mul = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__",
+                        lambda a, b: calls.append(1) or real_mul(a, b))
+    t = direct_product(c5, c7)
+    monkeypatch.undo()
+    # 35 distinct pairs of values in the rows, 35 in the natural character
+    assert len(calls) <= 70
+    assert t.characters == tuple(
+        tuple(v1 * v2 for v1 in row1 for v2 in row2)
+        for row1 in c5.characters for row2 in c7.characters)
+
+
 def test_q8_alias():
     q8 = parse_group_spec("Q8")
     assert q8.order == 8 and q8.n_classes == 5

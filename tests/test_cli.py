@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -268,3 +269,34 @@ def test_verify_power_above_the_bound(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "exponent 100000000 is above" in proc.stderr
+
+
+def test_analyze_huge_row_sum_is_fast(tmp_path):
+    """The weighting tries only the integer roots of the char poly, not
+    every k between the row sums (here a million of them)."""
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"],
+                                "adjacency": [[1, 1], [1, 1000000]]}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process("analyze", str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == """quiver on 2 vertices
+ADE class: none
+components:
+  vertices 1,2  ADE none
+reduced weightings per strong component:
+  vertices 1,2: none
+char poly: x^2-1000001*x+999999
+factorization: (x^2-1000001*x+999999)
+solvability: solvable
+battery:
+  [pass] strong-connectivity: one strongly connected block
+  [fail] reduced-weighting: no integer eigenvalue admits a positive weight vector
+  [unknown] weight-arithmetic: needs a reduced weight vector
+  [unknown] weight-one-orbit: needs a reduced weight vector
+  [pass] charpoly-solvability: every component's characteristic polynomial is solvable by radicals
+battery verdict: obstructed
+"""
+    assert cpu < 1.0, cpu

@@ -1,12 +1,22 @@
 """Integer polynomial arithmetic and rational factorization, against sympy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mckayq import polynomials
 from mckayq.polynomials import (
+    MAX_FACTOR_DEGREE,
+    MR_BOUND,
     IntPolynomial,
+    cyclotomic_index,
+    cyclotomic_polynomial,
     factor_over_Q,
     is_prime,
     parse_polynomial,
@@ -102,6 +112,16 @@ def test_gcd_matches_sympy(ca, cb):
     assert to_sympy(got).monic() == sympy.Poly(want, X).monic()
 
 
+@settings(max_examples=30, deadline=None)
+@given(poly_strategy, poly_strategy, poly_strategy)
+def test_gcd_of_products_with_a_common_factor(ca, cb, cc):
+    a, b, c = IntPolynomial(ca), IntPolynomial(cb), IntPolynomial(cc)
+    got = poly_gcd(a * c * c, b * c)
+    want = sympy.Poly(sympy.gcd(to_sympy(a * c * c), to_sympy(b * c)), X)
+    assert got.lc > 0 and got.content() == 1
+    assert to_sympy(got).monic() == want.monic()
+
+
 def test_squarefree():
     x = IntPolynomial.x()
     f = (x - IntPolynomial.one()) ** 3 * (x + IntPolynomial.one())
@@ -161,6 +181,83 @@ def test_factor_frozen_cases():
         factor_over_Q(IntPolynomial.zero())
 
 
+# -- cyclotomic factors ---------------------------------------------------------------
+
+SMALL_PHI_D = [d for d in range(1, 211) if sympy.totient(d) <= 48]
+
+
+def phi_poly(d: int) -> IntPolynomial:
+    return IntPolynomial(cyclotomic_polynomial(d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_PHI_D), max_size=4),
+       st.lists(st.integers(-5, 5), min_size=2, max_size=5).filter(lambda c: c[-1]),
+       st.integers(1, 3))
+@example([210, 1], [1, 1, 1], 1)
+@example([210], [3, 0, 2], 2)
+def test_cyclotomic_products_factor_like_sympy(ds, rest, mult):
+    """Products of Phi_d (d <= 210, so up to phi = 48) with a random,
+    possibly non-monic or cyclotomic cofactor, the first Phi_d repeated."""
+    f = IntPolynomial(rest)
+    for d in ds:
+        f = f * phi_poly(d)
+    if ds:
+        f = f * phi_poly(ds[0]) ** (mult - 1)
+    assume(f.degree <= MAX_FACTOR_DEGREE)
+    assert factor_over_Q(f) == sympy_factors(f)
+
+
+def test_cyclotomic_split_skips_zassenhaus(monkeypatch):
+    calls = []
+    real = polynomials._zassenhaus_monic
+    monkeypatch.setattr(polynomials, "_zassenhaus_monic",
+                        lambda F: calls.append(F) or real(F))
+    f = parse_polynomial("x^46-1")
+    assert factor_over_Q(f) == (phi_poly(1), phi_poly(2), phi_poly(46), phi_poly(23))
+    assert calls == []
+    # the rest after the split still goes through Zassenhaus
+    quintic = parse_polynomial("x^5+2*x^4-44*x^3-40*x^2+400*x+128")
+    assert factor_over_Q(f * quintic) == (
+        phi_poly(1), phi_poly(2), quintic, phi_poly(46), phi_poly(23))
+    assert calls == [quintic]
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    for d in list(range(1, 121)) + [210, 240, 256, 385, 1021]:
+        want = sympy.Poly(sympy.cyclotomic_poly(d, X), X)
+        assert phi_poly(d) == from_sympy(want), d
+
+
+def test_cyclotomic_index():
+    for d in range(1, 300):
+        if sympy.totient(d) <= MAX_FACTOR_DEGREE:
+            assert cyclotomic_index(phi_poly(d)) == d
+    x = IntPolynomial.x()
+    for f in (x, x ** 4 + IntPolynomial.one() * 2, phi_poly(7) * 2,
+              phi_poly(5) + x ** 2, phi_poly(3) * phi_poly(4),
+              parse_polynomial("x^2+3*x+1")):
+        assert cyclotomic_index(f) is None, f
+
+
+def test_import_does_no_polynomial_work():
+    code = ("import mckayq\n"
+            "from mckayq import polynomials, quiver\n"
+            "print(polynomials._cyclotomic_candidates.cache_info().currsize,\n"
+            "      polynomials.cyclotomic_polynomial.cache_info().currsize,\n"
+            "      quiver._crt_prime.cache_info().currsize)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.split() == ["0", "0", "0"], proc.stderr
+
+
+def test_cyclotomic_caches_are_bounded():
+    assert cyclotomic_polynomial.cache_info().maxsize is not None
+    assert polynomials._cyclotomic_candidates.cache_info().maxsize == 1
+
+
 # -- small prime utilities -----------------------------------------------------------
 
 
@@ -168,3 +265,25 @@ def test_primes():
     assert primes_below(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert [n for n in range(2, 40) if is_prime(n)] == primes_below(40)
     assert not is_prime(1) and not is_prime(0)
+
+
+def test_is_prime_matches_the_sieve():
+    primes = set(primes_below(10 ** 5))
+    assert all(is_prime(n) == (n in primes) for n in range(-3, 10 ** 5))
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    strong = (3825123056546413051, 318665857834031151167461)
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+    m61 = 2 ** 61 - 1
+    for n in (m61, 2 ** 62 - 57, 2 ** 64 - 59, 2 ** 80 - 65):
+        assert is_prime(n), n
+    assert not is_prime(m61 * 1000003)
+    for n in range(2 ** 61 - 400, 2 ** 61):
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        is_prime(MR_BOUND)

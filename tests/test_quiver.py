@@ -1,13 +1,16 @@
 """Quiver structure: connectivity, weightings, char polys, isomorphism, ADE."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckayq.polynomials import IntPolynomial
+from mckayq import quiver
+from mckayq.polynomials import IntPolynomial, factor_over_Q, parse_polynomial
 from mckayq.quiver import (
     Quiver,
     QuiverFormatError,
@@ -23,7 +26,7 @@ from mckayq.quiver import (
     to_dot,
     weakly_connected_components,
 )
-from mckayq.quiver import _strictly_positive_combination
+from mckayq.quiver import WeightVector, _char_poly, _strictly_positive_combination
 
 
 def mk(adj, weights=None):
@@ -115,7 +118,79 @@ def test_char_poly_frozen():
     assert char_poly(mk([[0]])) == IntPolynomial([0, 1])
 
 
+signed_matrix_strategy = st.integers(0, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-2, 2)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_matrix_strategy)
+def test_char_poly_of_signed_large_entries_matches_sympy(A):
+    n = len(A)
+    want = [1]
+    if n:
+        x = sympy.Symbol("x")
+        want = [int(c) for c in reversed(sympy.Matrix(A).charpoly(x).all_coeffs())]
+    assert _char_poly(A) == want
+
+
+def test_char_poly_needs_several_primes():
+    A = [[10 ** 6, 1, 2, 3], [4, -10 ** 6, 5, 6],
+         [7, 8, 10 ** 6, 9], [1, 2, 3, -10 ** 6]]
+    det = brute_det([[Fraction(v) for v in row] for row in A])
+    # one word-sized prime cannot hold the constant term
+    assert 2 * abs(det) > quiver._crt_prime(0)
+    coeffs = _char_poly(A)
+    assert coeffs[0] == det
+    for x in range(-2, 3):
+        mat = [[Fraction((x if i == j else 0) - A[i][j]) for j in range(4)]
+               for i in range(4)]
+        assert IntPolynomial(coeffs).evaluate(x) == brute_det(mat)
+
+
+def test_char_poly_small_and_cyclic():
+    assert _char_poly([]) == [1]
+    assert _char_poly([[-7]]) == [7, 1]
+    assert char_poly(mk([[5]])) == parse_polynomial("x-5")
+    cycle = [[int(j == (i + 1) % 48) for j in range(48)] for i in range(48)]
+    assert char_poly(mk(cycle)) == parse_polynomial("x^48-1")
+    perm = [(7 * i) % 48 for i in range(48)]
+    shuffled = [[cycle[perm[i]][perm[j]] for j in range(48)] for i in range(48)]
+    assert char_poly(mk(shuffled)) == parse_polynomial("x^48-1")
+
+
 # -- eigen-weightings ----------------------------------------------------------------
+
+
+def scan_weight_vector(q):
+    """The first k between the extreme row sums with a positive
+    eigenvector, trying every integer k."""
+    sums = [sum(row) for row in q.adjacency]
+    for k in range(max(1, min(sums)), max(sums) + 1):
+        wv = k_weight_vector(q, k)
+        if wv is not None:
+            return wv
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(adjacency_strategy)
+def test_reduced_weighting_matches_the_row_sum_scan(adj):
+    q = mk(adj)
+    want = scan_weight_vector(q)
+    assert reduced_weight_vector(q) == want
+    assert reduced_weight_vector(q, factor_over_Q(char_poly(q))) == want
+
+
+def test_reduced_weighting_with_huge_row_sums():
+    t0 = time.process_time()
+    assert reduced_weight_vector(mk([[1, 1], [1, 10 ** 9]])) is None
+    # char poly (x - 10^6)(x + 1); the row sums are 500000 and 1000001
+    wv = reduced_weight_vector(mk([[0, 500000], [2, 999999]]))
+    assert wv == WeightVector(10 ** 6, (1, 2))
+    assert time.process_time() - t0 < 1.0
 
 
 def test_k_weight_vector_frozen():
