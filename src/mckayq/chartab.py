@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import (
     Cyclotomic,
@@ -24,6 +25,7 @@ from .cyclotomic import (
     _Field,
     parse_cyclotomic,
 )
+from .polynomials import cyclotomic_polynomial, is_prime, prime_factors
 
 
 class TableMismatch(ValueError):
@@ -204,13 +206,29 @@ class ClassFunction:
 # -- fast exact engine -------------------------------------------------------
 #
 # All table values live in one Q(zeta_E), E the lcm of their conductors,
-# and the engine is that field: a `cyclotomic._Field` of conductor E that
-# also holds the table's characters in exponent form.  Products are
-# exponent additions, conjugation negates exponents, and one reduction
-# mod Phi_E at the end turns an accumulated sum into canonical
-# power-basis coordinates.  Everything stays exact.  Every caller that
-# recognises a class function (exponent dicts per class) as a row, or
-# splits it into irreducibles, does so through `row_of`/`multiplicities`.
+# and the engine is that field: a `cyclotomic._Field` of conductor E
+# that also holds the table's characters in exponent form.  A root of
+# unity whose power-basis form has several terms is stored as the
+# one-term dict {e: 1} (or {e: -1} for odd E), read off its coordinates
+# against the reduction rows; a one-term form, whose exponent is below
+# phi(E) and so cheaper to reduce, is kept.  Products are exponent
+# additions, conjugation negates exponents, and one reduction mod Phi_E
+# at the end turns an accumulated sum into canonical power-basis
+# coordinates.  Everything stays exact.  Every caller that recognises a
+# class function (exponent dicts per class) as a row, or splits it into
+# irreducibles, does so through `row_of`/`multiplicities`.
+#
+# Products of rows (the McKay matrices, the walk route, the dual action)
+# are recognised through `product_rows`, on an image of the table in
+# Z/M: zeta_E -> g with Phi_E(g) = 0 mod M, M a product of primes
+# p = 1 mod E below 2^61.  That is a ring map, so a miss proves that a
+# product is no row.  A hit is exact too: for a difference delta of a
+# product and a row, every embedding is at most B = (|left|_1 + 1) * N,
+# N the largest l1 norm of a table value's dict; the map's kernel has
+# index M, so a hit makes M divide the norm N(delta), which is at most
+# B^phi(E) < M, so delta = 0.  M grows when a larger B arrives.  Tables
+# with a non-integral coefficient, `decompose`, `dual_index` and
+# `mckay.eigen_check` stay on the exact arithmetic.
 
 
 def _common_conductor(rows) -> int:
@@ -220,20 +238,41 @@ def _common_conductor(rows) -> int:
 
 class _TableEngine(_Field):
     """Q(zeta_E) with one table's rows (`vals`, `conj_vals`, `coords`),
-    and per-table results shared by `mckay`: `product_cache`, the McKay
-    matrix of each irreducible, and `dual_action`."""
+    their image mod `modulus` (`row_images`, `image_rows`), and
+    per-table results shared by `mckay`: `product_cache`, the McKay
+    matrix of each irreducible, and `dual_action`.  `units[j]` is the
+    multiplicity vector of row j, shared by every caller."""
 
     def __init__(self, table: CharacterTable):
         super().__init__(_common_conductor(table.characters))
         self.table = table
-        self.vals = [[v.terms(self.exponent) for v in row] for row in table.characters]
+        roots = {x: (e, 1) for e, x in enumerate(self.red)}
+        if self.exponent % 2:  # for even E, -zeta^e is a power of zeta
+            roots.update({tuple(-c for c in x): (e, -1) for e, x in enumerate(self.red)})
+        self.vals, self.coords = [], []
+        for row in table.characters:
+            dicts = [v.terms(self.exponent) for v in row]
+            self.coords.append([self.reduce_dict(d) for d in dicts])
+            self.vals.append([dict((roots[x],)) if len(d) > 1 and x in roots else d
+                              for d, x in zip(dicts, self.coords[-1])])
         self.conj_vals = [[self.galois(d, -1) for d in row] for row in self.vals]
-        self.coords = [[self.reduce_dict(d) for d in row] for row in self.vals]
         self.row_lookup: dict[tuple, int] = {}
         for i, row in enumerate(self.coords):
             self.row_lookup.setdefault(tuple(row), i)
+        self.integral = all(type(c) is int for row in self.vals for d in row
+                            for c in d.values())
+        self.norm = max(sum(map(abs, d.values())) for row in self.vals for d in row)
+        # M, its primes with a root of Phi_E mod each, and where the
+        # search for the next prime kE + 1 below 2^61 goes on
+        self.modulus, self.roots_mod = 1, []
+        self.next_k = ((1 << 61) - 2) // self.exponent
         self.product_cache: dict[int, tuple] = {}
         self.dual_action: dict[int, tuple[int, ...]] | None = None
+
+    @cached_property
+    def units(self) -> tuple:
+        r = len(self.vals)
+        return tuple(tuple(int(i == j) for i in range(r)) for j in range(r))
 
     def row_of(self, dicts) -> int | None:
         """Index of the row with these values (exponent dicts), or None."""
@@ -243,13 +282,16 @@ class _TableEngine(_Field):
         """Multiplicities in the irreducible basis of the class function
         with these values (exponent dicts).
 
-        A row of the table is recognised by `row_of`; otherwise each
-        multiplicity is one `row_inner` against a conjugated row, divided
-        by the order.  NotACharacter if one is not a non-negative integer.
+        A row of the table is recognised by `row_of` and answered with its
+        shared unit vector; otherwise see `inner_multiplicities`.
         """
         j = self.row_of(dicts)
-        if j is not None:
-            return tuple(int(i == j) for i in range(len(self.vals)))
+        return self.units[j] if j is not None else self.inner_multiplicities(dicts)
+
+    def inner_multiplicities(self, dicts) -> tuple[int, ...]:
+        """Each multiplicity as one `row_inner` against a conjugated row,
+        divided by the order.  NotACharacter if one is not a non-negative
+        integer."""
         order = self.table.order
         out = []
         for i, conj in enumerate(self.conj_vals):
@@ -260,6 +302,53 @@ class _TableEngine(_Field):
                 raise NotACharacter(f"multiplicity of row {i + 1} is {m}")
             out.append(m)
         return tuple(out)
+
+    def product_rows(self, left) -> list:
+        """Per row i, the index of the row equal to left * chi_i (`left`
+        one exponent dict per class), or None if that product is no row.
+
+        Answered on the image mod M (see the comment above), rebuilt
+        first if M <= B^phi(E); by `row_of` on exact products when a
+        coefficient is not an integer.
+        """
+        norms = [sum(map(abs, d.values())) for d in left]
+        if not self.integral or any(type(x) is not int for x in norms):
+            return [self.row_of([self.mul(a, b) for a, b in zip(left, row)])
+                    for row in self.vals]
+        target = ((max(norms) + 1) * self.norm) ** self.phi  # B^phi(E)
+        if target >= self.modulus:
+            self._build_image(target)
+        M, get = self.modulus, self.image_rows.get
+        li = [self.image(d) for d in left]
+        return [get(tuple([a * b % M for a, b in zip(li, row)]))
+                for row in self.row_images]
+
+    def image(self, d: dict) -> int:
+        """The image of an exponent dict with int coefficients mod M."""
+        return sum(c * self.g_powers[e] for e, c in d.items()) % self.modulus
+
+    def _build_image(self, target: int) -> None:
+        """Grow M past `target` by primes p = 1 mod E below 2^61, and
+        rebuild the images of the rows."""
+        n = self.exponent
+        while self.modulus <= target:
+            p = self.next_k * n + 1
+            self.next_k -= 1
+            if is_prime(p):
+                # a^((p-1)/n) has order n unless its (n/q)-th power is 1
+                h = next(h for h in (pow(a, (p - 1) // n, p) for a in range(2, p))
+                         if all(pow(h, n // q, p) != 1 for q in prime_factors(n)))
+                self.roots_mod.append((p, h))
+                self.modulus *= p
+        M, g, m = self.modulus, 0, 1
+        for p, h in self.roots_mod:  # CRT
+            g, m = g + m * ((h - g) * pow(m, -1, p) % p), m * p
+        if sum(c * pow(g, k, M) for k, c in enumerate(cyclotomic_polynomial(n))) % M:
+            raise ArithmeticError(f"Phi_{n}(g) is not 0 mod {M}")
+        self.g, self.g_powers = g, [pow(g, e, M) for e in range(n)]
+        self.row_images = [tuple(self.image(d) for d in row) for row in self.vals]
+        # the first row with an image, as in `row_lookup`
+        self.image_rows = {img: i for i, img in reversed(list(enumerate(self.row_images)))}
 
     def rep_dicts(self, mult) -> list[dict]:
         """Exponent dicts of the character sum_k mult[k] * chi_k, per class."""

@@ -3,12 +3,14 @@
 Given a character table and a representation rho (a multiplicity vector
 over the irreducibles), the McKay quiver has one vertex per irreducible
 and adjacency entry [i][j] equal to the multiplicity of irreducible j in
-rho tensor irreducible i.  Everything here is exact arithmetic on the
-table engine, whose `multiplicities` and `row_of` split and recognise
-products of characters; each irreducible's McKay matrix and the dual
-action are computed once per table and kept there.  The expensive
-verifications recompute the same quantity along two independent routes
-and raise InternalInconsistency if the routes ever disagree.
+rho tensor irreducible i.  Everything here is exact.  A product of
+characters is recognised as a row on the table engine's modular image
+(`_TableEngine.product_rows`, exact under a norm bound) or else split by
+exact inner products; each irreducible's McKay matrix and the dual
+action are computed once per table and kept there.  `eigen_check` checks
+the matrices on the exact arithmetic.  The expensive verifications
+recompute the same quantity along two independent routes and raise
+InternalInconsistency if the routes ever disagree.
 """
 
 from __future__ import annotations
@@ -49,14 +51,20 @@ def _decompose_products(t: CharacterTable, left) -> tuple:
     """Rows of multiplicities of left * chi_i, one row per irreducible i.
 
     `left` gives the multiplier's value on each class as a sparse
-    exponent dict of the table engine; each product is split by
-    `_TableEngine.multiplicities`.
+    exponent dict of the table engine.  A product that is a row is
+    recognised by `_TableEngine.product_rows` and answered with the
+    engine's shared unit row; any other is split exactly by
+    `_TableEngine.inner_multiplicities`.
     """
     eng = t._engine()
     rows = []
-    for i, row in enumerate(eng.vals):
+    for i, (row, j) in enumerate(zip(eng.vals, eng.product_rows(left))):
+        if j is not None:
+            rows.append(eng.units[j])
+            continue
         try:
-            rows.append(eng.multiplicities([eng.mul(a, b) for a, b in zip(left, row)]))
+            rows.append(eng.inner_multiplicities(
+                [eng.mul(a, b) for a, b in zip(left, row)]))
         except NotACharacter:
             raise ValueError(
                 f"product with row {i + 1} does not decompose integrally; "
@@ -78,9 +86,13 @@ def mckay_matrix(t: CharacterTable, rho) -> tuple[tuple[int, ...], ...]:
     """Adjacency matrix with entries <chi_rho * chi_i, chi_j>.
 
     The product with a sum of irreducibles is the matching sum of the
-    per-irreducible matrices, so only those are ever computed.
+    per-irreducible matrices, so only those are ever computed; for a
+    single irreducible the cached matrix itself is returned.
     """
     rho = _check_rho(t, rho)
+    hot = [k for k, m in enumerate(rho) if m]
+    if len(hot) == 1 and rho[hot[0]] == 1:
+        return _irr_matrix(t, hot[0])
     r = t.n_classes
     total = [[0] * r for _ in range(r)]
     for k, m in enumerate(rho):
@@ -325,17 +337,14 @@ def dual_group_action(t: CharacterTable) -> dict[int, tuple[int, ...]]:
         for l in range(r):
             if t.dims[l] != 1:
                 continue
-            perm = []
-            for i in range(r):
-                j = eng.row_of([eng.mul(a, b) for a, b in zip(eng.vals[l], eng.vals[i])])
-                if j is None:
-                    raise InternalInconsistency(
-                        f"row {l + 1} * row {i + 1} is not a row of {t.name}")
-                perm.append(j)
+            perm = tuple(eng.product_rows(eng.vals[l]))
+            if None in perm:
+                raise InternalInconsistency(
+                    f"row {l + 1} * row {perm.index(None) + 1} is not a row of {t.name}")
             if len(set(perm)) != r:
                 raise InternalInconsistency(
                     f"row {l + 1} of {t.name} does not act by a permutation")
-            action[l] = tuple(perm)
+            action[l] = perm
         eng.dual_action = action
     return dict(eng.dual_action)
 

@@ -2,7 +2,8 @@
 
 Parsing E(n)^k, `decompose`, `dual_index` and the natural multiplicities
 of direct products run on the table engine or on canonical roots of
-unity; `analyze` shares one QuiverAnalysis with the battery it embeds.
+unity; products of rows are recognised on the engine's modular image;
+`analyze` shares one QuiverAnalysis with the battery it embeds.
 These tests recompute the same quantity the old way (Cyclotomic
 arithmetic, `inner_product`, separate library calls) and compare, or
 count calls to show that a shared quantity (one analysis, one dual
@@ -10,6 +11,7 @@ group action per table) is computed once.
 """
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -43,7 +45,15 @@ from mckayq.cyclotomic import (
     parse_cyclotomic,
 )
 from mckayq.galois import component_solvability, solvability
-from mckayq.mckay import McKayQuiver, dual_action_simply_transitive, dual_group_action
+from mckayq.mckay import (
+    InternalInconsistency,
+    McKayQuiver,
+    character_walk_matrix,
+    dual_action_simply_transitive,
+    dual_group_action,
+    mckay_matrix,
+)
+from mckayq.polynomials import cyclotomic_polynomial, is_prime
 from mckayq.quiver import (
     Quiver,
     char_poly,
@@ -213,15 +223,175 @@ def test_dual_index_matches_conjugate_route():
 
 
 def test_dual_action_is_computed_once(monkeypatch):
-    muls = _counting(monkeypatch, cyclotomic._Field, "mul")
+    # the products are recognised on the table's image, so the image step
+    # is what is counted
+    steps = _counting(monkeypatch, chartab._TableEngine, "product_rows")
     t = parse_group_spec("BD:16")
     action = dual_group_action(t)
-    assert muls
-    del muls[:]
+    assert steps
+    del steps[:]
     action.clear()  # the caller's copy, not the one kept on the engine
     again = dual_group_action(t)
     assert dual_action_simply_transitive(t)
-    assert sorted(again) == [0, 1, 2, 3] and muls == []
+    assert sorted(again) == [0, 1, 2, 3] and steps == []
+
+
+# -- products recognised on the modular image --------------------------------------------
+
+
+def exact_products(t, left):
+    """The exact route: each product of `left` with a row, split by
+    `multiplicities` (reduction mod Phi_E, then `row_inner`)."""
+    eng = t._engine()
+    rows = []
+    for i, row in enumerate(eng.vals):
+        try:
+            rows.append(eng.multiplicities([eng.mul(a, b) for a, b in zip(left, row)]))
+        except NotACharacter:
+            raise ValueError(
+                f"product with row {i + 1} does not decompose integrally; "
+                f"the table is not a character table") from None
+    return tuple(rows)
+
+
+def exact_dual_action(t):
+    eng = t._engine()
+    return {l: tuple(eng.row_of([eng.mul(a, b) for a, b in zip(eng.vals[l], row)])
+                     for row in eng.vals)
+            for l in range(t.n_classes) if t.dims[l] == 1}
+
+
+def _l1(d):
+    return sum(abs(c) for c in d.values())
+
+
+def _check_modulus(eng, bound):
+    """M > bound^phi(E), and zeta_E -> g is a ring map: Phi_E(g) = 0 mod M."""
+    M = eng.modulus
+    assert M > bound ** eng.phi
+    assert math.prod(p for p, _ in eng.roots_mod) == M
+    for p, h in eng.roots_mod:
+        assert (p - 1) % eng.exponent == 0 and p < 1 << 61 and is_prime(p)
+        assert eng.g % p == h
+    phi = cyclotomic_polynomial(eng.exponent)
+    assert sum(c * pow(eng.g, k, M) for k, c in enumerate(phi)) % M == 0
+
+
+def _route_pairs(monkeypatch):
+    """Wrap `product_rows` so that each call checks the modulus it used
+    against the norm bound of its own multiplier."""
+    orig = chartab._TableEngine.product_rows
+    moduli = []
+
+    def wrapper(eng, left):
+        out = orig(eng, left)
+        N = max(_l1(d) for row in eng.vals for d in row)
+        assert N == eng.norm
+        _check_modulus(eng, (max(_l1(d) for d in left) + 1) * N)
+        moduli.append(eng.modulus)
+        return out
+    monkeypatch.setattr(chartab._TableEngine, "product_rows", wrapper)
+    return moduli
+
+
+@pytest.mark.parametrize("spec", catalog_specs(48) + ["2I"])
+def test_image_route_matches_exact_route(monkeypatch, spec):
+    moduli = _route_pairs(monkeypatch)
+    t = parse_group_spec(spec)
+    eng = t._engine()
+    assert eng.integral
+    assert dual_group_action(t) == exact_dual_action(t)
+    for k in range(t.n_classes):
+        assert mckay_matrix(t, [int(i == k) for i in range(t.n_classes)]) == \
+            exact_products(t, eng.vals[k])
+    m = McKayQuiver(t, natural_rep(t))
+    pw = [{0: 1}] * t.n_classes
+    for L in range(4):
+        assert character_walk_matrix(m, L) == exact_products(t, pw)
+        pw = [eng.mul(a, b) for a, b in zip(pw, m._rho_dicts)]
+    assert moduli and moduli == sorted(moduli)  # M only grows
+
+
+def test_recognised_products_share_the_engine_unit_rows():
+    t = cyclic_table(12)
+    eng = t._engine()
+    rho = [0, 1] + [0] * 10
+    A = mckay_matrix(t, rho)
+    assert A is mckay_matrix(t, rho) is eng.product_cache[1]
+    assert all(row is eng.units[(i + 1) % 12] for i, row in enumerate(A))
+    assert eng.multiplicities(eng.vals[3]) is eng.units[3]
+    assert mckay_matrix(t, [0, 2] + [0] * 10) == tuple(
+        tuple(2 * a for a in row) for row in A)
+
+
+def test_a_modulus_below_the_bound_is_rejected():
+    t = cyclic_table(4)
+    eng = t._engine()
+    # zeta_4 -> 2 mod 5 is a ring map Z[i] -> F_5, under which 1+2i and 0
+    # collide: 2+2i has the image of 1, the trivial character
+    eng.roots_mod, eng.modulus = [(5, 2)], 5
+    eng._build_image(0)
+    assert eng.g == 2 and eng.image({0: 1, 1: 2}) == eng.image({}) == 0
+    left = [{0: 2, 1: 2}] * 4
+    assert eng.image(left[0]) == eng.image({0: 1})
+    fake = [eng.image_rows.get(tuple(eng.image(left[0]) * x % 5 for x in row))
+            for row in eng.row_images]
+    assert fake == [0, 1, 2, 3]
+    # B = (|2+2i|_1 + 1) * 1 = 5 and 5^phi(4) = 25 >= 5: M must grow first
+    assert eng.product_rows(left) == [None] * 4
+    assert eng.roots_mod[0] == (5, 2)
+    _check_modulus(eng, 5)
+    with pytest.raises(ValueError, match="product with row 1 does not"):
+        exact_products(t, left)
+
+
+def _fraction_table():
+    """C:3 with its last row replaced by (1, 1/2, 1/2): no character table,
+    and a coefficient that is not an integer."""
+    t = cyclic_table(3)
+    rows = [t.characters[0], t.characters[1], (1, Fraction(1, 2), Fraction(1, 2))]
+    return chartab.CharacterTable("C3-half", 3, t.classes, rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as ex:
+        return type(ex), str(ex)
+
+
+def test_a_table_with_fractions_keeps_the_exact_route(monkeypatch):
+    builds = _counting(monkeypatch, chartab._TableEngine, "_build_image")
+    t = _fraction_table()
+    eng = t._engine()
+    assert not eng.integral
+    for k in range(3):
+        left = eng.vals[k]
+        assert eng.product_rows(left) == [
+            eng.row_of([eng.mul(a, b) for a, b in zip(left, row)]) for row in eng.vals]
+        rho = [int(i == k) for i in range(3)]
+        assert _outcome(mckay_matrix, t, rho) == _outcome(exact_products, t, left)
+    assert _outcome(mckay_matrix, t, [0, 1, 0]) == (
+        ValueError, "product with row 2 does not decompose integrally; "
+                    "the table is not a character table")
+    assert _outcome(dual_group_action, t) == (
+        InternalInconsistency, "row 2 * row 2 is not a row of C3-half")
+    m = McKayQuiver(t, [1, 0, 0])
+    assert [character_walk_matrix(m, L) for L in range(4)] == [m.matrix] * 4
+    assert builds == []
+
+
+def test_roots_of_unity_are_stored_as_monomials():
+    # C:n for n = 2 mod 4 has the odd conductor n/2, where -1 is no power of
+    # zeta_E: half its values are stored as {e: -1}
+    for n in range(1, 49):
+        t = cyclic_table(n)
+        eng = t._engine()
+        for row, dicts, coords in zip(t.characters, eng.vals, eng.coords):
+            for v, d, co in zip(row, dicts, coords):
+                (e, c), = d.items()
+                assert c in (1, -1) and 0 <= e < eng.exponent, (n, d)
+                assert co == eng.reduce_dict(d) == eng.reduce_dict(v.terms(eng.exponent))
 
 
 # -- natural multiplicities of direct products -------------------------------------------
