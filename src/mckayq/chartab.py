@@ -681,9 +681,10 @@ def table_to_json(t: CharacterTable) -> dict:
 def table_from_json(data, force: bool = False) -> CharacterTable:
     """Build a table from its JSON form; verification failures raise
     TableValidationError unless force is set.  The report of that one
-    verification is kept on the table as `verification`.  Values whose
-    conductors have a common multiple above MAX_CONDUCTOR are rejected
-    before the table engine is built."""
+    verification is kept on the table as `verification`.  Each distinct
+    value string is parsed once, and the table is rejected as soon as
+    the conductors parsed so far have a common multiple above
+    MAX_CONDUCTOR."""
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
@@ -691,23 +692,31 @@ def table_from_json(data, force: bool = False) -> CharacterTable:
             raise TableFormatError(f"not valid JSON: {ex}") from ex
     if not isinstance(data, dict):
         raise TableFormatError("table JSON must be an object")
+    parsed: dict[str, Cyclotomic] = {}
+    E = 1
+
+    def value(s):
+        nonlocal E
+        if not isinstance(s, str):
+            return Cyclotomic.from_rational(s)
+        if s not in parsed:
+            parsed[s] = v = parse_cyclotomic(s)
+            E = math.lcm(E, v.conductor)
+            if E > MAX_CONDUCTOR:
+                raise TableFormatError(
+                    f"the table's values need conductor {E}, above {MAX_CONDUCTOR}")
+        return parsed[s]
+
     try:
         classes = [ConjClass(name=str(c["name"]), size=c["size"],
                              power2=c["power2"], inverse=c["inverse"])
                    for c in data["classes"]]
-        rows = [[parse_cyclotomic(s) if isinstance(s, str)
-                 else Cyclotomic.from_rational(s)
-                 for s in row]
-                for row in data["characters"]]
+        rows = [[value(s) for s in row] for row in data["characters"]]
         t = CharacterTable(data["name"], data["order"], classes, rows)
     except (KeyError, TypeError, ValueError, CyclotomicSyntaxError) as ex:
         if isinstance(ex, TableFormatError):
             raise
         raise TableFormatError(f"malformed table JSON: {ex}") from ex
-    E = _common_conductor(t.characters)
-    if E > MAX_CONDUCTOR:
-        raise TableFormatError(
-            f"the table's values need conductor {E}, above {MAX_CONDUCTOR}")
     report = verify_table(t)
     if not report.all_pass and not force:
         raise TableValidationError(report)

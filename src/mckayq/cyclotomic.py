@@ -3,7 +3,9 @@
 An element is stored in the power basis 1, z, ..., z^(phi(n)-1) of its
 minimal conductor n, with Fraction coefficients, reduced mod the n-th
 cyclotomic polynomial.  Every operation re-minimizes the conductor, so
-equality, hashing and printing are canonical.  No floating point.
+equality, hashing and printing are canonical.  `_minimize` does this
+with the trace to each subfield Q(zeta_(n/p)), a closed-form map on
+exponents, and no linear algebra.  No floating point.
 
 All arithmetic runs through one kernel, `_Field(n)`, which holds
 Q(zeta_n) in exponent form: a dict {e: c}, 0 <= e < n, stands for
@@ -24,7 +26,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .polynomials import cyclotomic_polynomial, prime_factors
 
 Rational = Fraction
@@ -80,26 +81,6 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
                 cur[k] -= top * mod[k]
         rows.append(tuple(cur))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(n: int, m: int):
-    """Solver data expressing elements of Q(zeta_n) in the zeta_m basis, m | n.
-
-    Returns (pivot_rows, inverse): pivot_rows are phi(m) coordinates of
-    Q(zeta_n) on which the embedding of Q(zeta_m) is invertible (the pivot
-    columns of its transpose), and inverse is the Fraction inverse of the
-    square submatrix of the embedding matrix on them.
-    """
-    red = _reduction_rows(n)
-    step = n // m
-    # row j: the coordinates of zeta_m^j in Q(zeta_n)
-    cols = [red[(j * step) % n] for j in range(euler_phi(m))]
-    pivots, _, _ = linalg.echelon(cols)
-    if len(pivots) != len(cols):
-        raise ArithmeticError("subfield basis is degenerate")
-    sub = [[col[i] for col in cols] for i in pivots]
-    return tuple(pivots), linalg.inverse(sub)
 
 
 class _Field:
@@ -186,31 +167,46 @@ class _Field:
         return tuple(out)
 
 
+def _project(n: int, p: int, coeffs) -> dict:
+    """Exponent form in Q(zeta_m), m = n/p for a prime p | n, of the trace
+    of sum coeffs[k] zeta_n^k to Q(zeta_m) divided by the degree.
+
+    When p^2 | n, zeta_n^e goes to zeta_m^(e/p) if p | e and to 0
+    otherwise; when p does not divide m, to zeta_m^(e/p mod m), times 1 if
+    p | e and -1/(p-1) otherwise (Breuer 1997, AAECC 8).  The map fixes
+    Q(zeta_m) and no other element.
+    """
+    m = n // p
+    if m % p == 0:
+        return {k // p: c for k, c in enumerate(coeffs) if c and k % p == 0}
+    inv, w = pow(p, -1, m), Fraction(-1, p - 1)
+    proj: dict = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            j = k * inv % m
+            proj[j] = proj.get(j, 0) + (c if k % p == 0 else w * c)
+    return proj
+
+
 def _minimize(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
+    """Minimal conductor and Fraction coordinates of sum coeffs[k] zeta_n^k.
+
+    The value descends from n to m = n/p exactly when its projection to
+    Q(zeta_m), embedded back by zeta_m -> zeta_n^p, reproduces it.
+    """
     coeffs = tuple(coeffs)
-    while n > 1:
-        if not any(coeffs[1:]):
-            return 1, (coeffs[0],)
+    while any(coeffs[1:]):
         F = _Field(n)
-        d = {k: c for k, c in enumerate(coeffs) if c}
         for p in prime_factors(n):
-            m = n // p
-            subgroup = [a for a in range(2, n) if a % m == 1 % m and math.gcd(a, n) == 1]
-            if all(F.reduce_dict(F.galois(d, a)) == coeffs for a in subgroup):
-                pivots, inv = _subfield_basis(n, m)
-                y = tuple(sum(inv[i][j] * coeffs[pivots[j]] for j in range(len(pivots)))
-                          for i in range(len(pivots)))
-                # confirm the projection reproduces the element exactly
-                step = n // m
-                if F.reduce_dict({j * step: c for j, c in enumerate(y) if c}) != coeffs:
-                    raise ArithmeticError("conductor descent produced a mismatch")
-                n, coeffs = m, y
+            proj = _project(n, p, coeffs)
+            if F.reduce_dict({j * p: c for j, c in proj.items()}) == coeffs:
+                n //= p
+                coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                               for c in _Field(n).reduce_dict(proj))
                 break
         else:
-            break
-    if n == 1:
-        return 1, (coeffs[0],)
-    return n, coeffs
+            return n, coeffs
+    return 1, coeffs[:1]
 
 
 def _q_divmod(a: list[Fraction], b: list[Fraction]):
@@ -323,7 +319,7 @@ class Cyclotomic:
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = _lcm(self.conductor, other.conductor)
+        n = math.lcm(self.conductor, other.conductor)
         F = _Field(n)
         return Cyclotomic(n, F.reduce_dict(F.combo((1, 1), (self.terms(n), other.terms(n)))))
 
@@ -351,7 +347,7 @@ class Cyclotomic:
         if self.conductor == 1:
             q = self.coeffs[0]
             return Cyclotomic(other.conductor, [c * q for c in other.coeffs])
-        n = _lcm(self.conductor, other.conductor)
+        n = math.lcm(self.conductor, other.conductor)
         F = _Field(n)
         return Cyclotomic(n, F.reduce_dict(F.mul(self.terms(n), other.terms(n))))
 
@@ -453,11 +449,14 @@ class Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _zeta_cached(n: int, e: int) -> Cyclotomic:
-    return Cyclotomic(n, _Field(n).reduce_dict({e: 1}))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+    # zeta_n^e is zeta_d^f, d = n/gcd(n, e), and for d = 2h with h odd that
+    # is -zeta_h^(f(h+1)/2): only the field of the conductor is set up
+    g = math.gcd(n, e)
+    d, f, sign = n // g, e // g, 1
+    if d % 4 == 2:
+        d //= 2
+        f, sign = f * (d + 1) // 2 % d, -1
+    return Cyclotomic(d, _Field(d).reduce_dict({f: sign}))
 
 
 _ZERO = Cyclotomic(1, (Fraction(0),))
@@ -576,7 +575,7 @@ class _Parser:
         n = self.integer()
         if n < 1:
             self.error("E(n) needs n >= 1", npos)
-        self.lcm = _lcm(self.lcm, n)
+        self.lcm = math.lcm(self.lcm, n)
         if self.lcm > MAX_CONDUCTOR:
             self.error(f"conductor {self.lcm} is above {MAX_CONDUCTOR}", npos)
         self.take(")")

@@ -4,8 +4,7 @@
 (Bareiss 1968, Math. Comp. 22): every entry stays an integer, and each
 step divides by the previous pivot, a division that is exact because
 every entry is a minor of the input.  The remainder is checked all the
-same.  `nullspace` and `inverse` read their Fraction results off the
-echelon form.
+same.  `nullspace` reads its Fraction basis off the echelon form.
 """
 
 from __future__ import annotations
@@ -67,13 +66,3 @@ def nullspace(rows) -> list[list[Fraction]]:
             vec[pc] = Fraction(-prow[fc], d)
         basis.append(vec)
     return basis
-
-
-def inverse(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square integer matrix; ArithmeticError if singular."""
-    k = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
-    pivot_cols, prows, d = echelon(aug)
-    if pivot_cols != list(range(k)):
-        raise ArithmeticError("matrix is singular")
-    return tuple(tuple(Fraction(v, d) for v in row[k:]) for row in prows)

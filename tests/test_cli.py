@@ -271,6 +271,21 @@ def test_verify_power_above_the_bound(tmp_path):
     assert "exponent 100000000 is above" in proc.stderr
 
 
+def test_verify_a_one_class_table_of_e1018(tmp_path):
+    # E(1018) = -E(509)^255: its conductor descends in closed form
+    path = tmp_path / "e1018.json"
+    path.write_text(json.dumps({
+        "name": "x", "order": 1, "characters": [["E(1018)"]],
+        "classes": [{"name": "1a", "size": 1, "power2": 0, "inverse": 0}]}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process("verify", str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert "-E(509)^255" in proc.stdout
+    assert cpu < 2.0, cpu
+
+
 def test_analyze_huge_row_sum_is_fast(tmp_path):
     """The weighting tries only the integer roots of the char poly, not
     every k between the row sums (here a million of them)."""

@@ -3,8 +3,12 @@ field axioms."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from mckayq.cyclotomic import (
     MAX_POWER,
     E,
     NotRational,
+    _Field,
     cyclotomic_polynomial,
     euler_phi,
     parse_cyclotomic,
@@ -112,6 +117,55 @@ def test_conductor_minimization():
     v = E(12) + E(12) ** 11   # sqrt(3), conductor 12
     assert v.conductor == 12
     assert v * v == 3
+
+
+def conductor_oracle(n: int, d: dict) -> int:
+    """The smallest m | n such that every unit a = 1 mod m fixes the
+    element with exponent form d in Q(zeta_n), by brute force."""
+    F = _Field(n)
+    coords = F.reduce_dict(d)
+    return next(m for m in range(1, n + 1) if n % m == 0 and all(
+        F.reduce_dict(F.galois(d, a)) == coords
+        for a in range(1, n) if a % m == 1 % m and math.gcd(a, n) == 1))
+
+
+@st.composite
+def subfield_elements(draw):
+    """(n, d, exponent form in Q(zeta_n)) of a few-term element of Q(zeta_d)."""
+    n = draw(st.one_of(st.integers(1, 120), st.sampled_from([902, 1018, 1020, 1021, 1024])))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    terms = draw(st.dictionaries(
+        st.integers(0, d - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=4))
+    return n, d, {e * (n // d): c for e, c in terms.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(subfield_elements())
+def test_descent_reaches_the_minimal_conductor(case):
+    n, d, terms = case
+    F = _Field(n)
+    coords = F.reduce_dict(terms)
+    v = Cyclotomic(n, coords)
+    assert v.conductor == conductor_oracle(n, terms)
+    assert F.reduce_dict(v.terms(n)) == coords
+    assert all(type(c) is Fraction for c in v.coeffs)
+
+
+def test_hostile_roots_of_unity_parse_fast():
+    # a fresh process, so no cache holds these fields yet
+    code = ("import time\n"
+            "from mckayq.cyclotomic import parse_cyclotomic\n"
+            "for text in ('E(902)', 'E(1018)'):\n"
+            "    start = time.process_time()\n"
+            "    parse_cyclotomic(text)\n"
+            "    print(time.process_time() - start)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    times = [float(t) for t in proc.stdout.split()]
+    assert len(times) == 2 and max(times) < 0.5, proc.stderr
 
 
 def test_rationality():

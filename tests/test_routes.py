@@ -139,6 +139,37 @@ def test_table_values_with_a_huge_common_conductor_are_rejected():
         table_from_json(data, force=True)
 
 
+def test_many_conductors_are_rejected_at_the_first_that_overflows(capsys, tmp_path):
+    # 35 classes naming E(990), ..., E(1024); the lcm of the parsed
+    # conductors passes MAX_CONDUCTOR at the second distinct value
+    conductors = range(990, 1025)
+    data = {"name": "many", "order": len(conductors),
+            "classes": [{"name": f"c{n}", "size": 1, "power2": 0, "inverse": 0}
+                        for n in conductors],
+            "characters": [[f"E({n})" for n in conductors] for _ in conductors]}
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(data))
+    rows_before = cyclotomic._reduction_rows.cache_info().currsize
+    assert main(["verify", str(path)]) == 2
+    assert cyclotomic._reduction_rows.cache_info().currsize - rows_before <= 2
+    # E(990) = -E(495)^248
+    assert "conductor 490545, above 1024" in capsys.readouterr().err
+
+
+def test_table_from_json_parses_each_distinct_value_once(monkeypatch):
+    data = table_to_json(cyclic_table(12))
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_cyclotomic(text)
+
+    monkeypatch.setattr(chartab, "parse_cyclotomic", counting_parse)
+    again = table_from_json(data)
+    assert sorted(calls) == sorted({s for row in data["characters"] for s in row})
+    assert again.characters == cyclic_table(12).characters
+
+
 # -- decompose on the engine --------------------------------------------------------
 
 
