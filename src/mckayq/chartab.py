@@ -86,6 +86,7 @@ class CharacterTable:
         self.name = str(name)
         self.order = order
         self.classes = classes
+        self.class_sizes = tuple(c.size for c in classes)
         self.characters = tuple(rows)
         self._engine_cache = None
 
@@ -94,10 +95,6 @@ class CharacterTable:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.classes)
 
     @property
     def class_names(self) -> tuple[str, ...]:

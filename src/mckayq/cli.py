@@ -27,6 +27,7 @@ from .chartab import (
 )
 from .mckay import InternalInconsistency, McKayQuiver
 from .obstructions import QuiverAnalysis, mckay_obstruction_battery
+from .polynomials import MAX_FACTOR_DEGREE
 from .quiver import Quiver, QuiverFormatError, ade_classify, to_dot
 
 
@@ -71,8 +72,15 @@ def _load_table(args) -> CharacterTable:
 
 
 def _load_quiver(path: str) -> Quiver:
+    """The quiver in a file.  One with more than MAX_FACTOR_DEGREE
+    vertices is rejected here, before any analysis, because its char
+    poly could not be factored."""
     with open(path, encoding="utf-8") as fh:
-        return Quiver.from_json(fh.read())
+        q = Quiver.from_json(fh.read())
+    if q.n > MAX_FACTOR_DEGREE:
+        raise ValueError(
+            f"degree {q.n} is above the supported bound {MAX_FACTOR_DEGREE}")
+    return q
 
 
 def _resolve_rep(t: CharacterTable, text: str) -> tuple[int, ...]:

@@ -3,11 +3,12 @@ structural analysis used to screen them: connectivity, integer
 eigen-weightings, exact characteristic polynomials, automorphism orbits,
 isomorphism testing, and affine ADE recognition.
 
-Everything is exact.  Eigenspaces come from the fraction-free integer
-elimination in linalg.py, the positive combination of an eigenspace
-basis is computed over Fraction, and the characteristic polynomial is
-computed modulo word-sized primes and recovered by CRT under a bound
-that every coefficient obeys.
+Everything is exact.  An eigenspace is solved modulo a prime and its
+vector kept only when A w = k w holds over Z; otherwise it comes from
+the fraction-free integer elimination in linalg.py, and the positive
+combination of an eigenspace basis is computed over Fraction.  The
+characteristic polynomial is computed modulo word-sized primes and
+recovered by CRT under a bound that every coefficient obeys.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .linalg import nullspace
+from .linalg import nullspace, nullspace_mod, rational_reconstruction
 from .polynomials import IntPolynomial, factor_over_Q, is_prime
 
 
@@ -291,51 +292,89 @@ def _normalize_positive(w: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
-    """A strictly positive w with A w = k w, reduced to integers with
-    gcd 1, or None when no such vector exists."""
-    n = q.n
-    basis = nullspace([[q.adjacency[i][j] - (k if i == j else 0)
-                        for j in range(n)] for i in range(n)])
+# the prime of k_weight_vector's modular kernel: the largest below 2^30,
+# so that every residue is a single CPython digit
+_WEIGHT_PRIME = (1 << 30) - 35
+
+
+def _lift_mod(v: list[int], p: int) -> tuple[int, ...] | None:
+    """v mod p lifted to Z: each entry reconstructed as a fraction, the
+    denominators cleared and the gcd divided out, so that an entry 1 of
+    v stays positive.  None when some entry has no reconstruction."""
+    fracs = [rational_reconstruction(x, p) for x in v]
+    if None in fracs:
+        return None
+    den = lcm(*(b for _, b in fracs))
+    ints = [a * (den // b) for a, b in fracs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _exact_weight_vector(M: list[list[int]], k: int) -> WeightVector | None:
+    """k_weight_vector's exact route, on M = A - kI: the fraction-free
+    `nullspace` and, for an eigenspace of dimension 2 or more, a
+    Fourier-Motzkin search for a positive combination."""
+    basis = nullspace(M)
     if not basis:
         return None
     if len(basis) == 1:
+        # its entry in the free column is 1: it is positive, or none is
         v = basis[0]
-        if all(x > 0 for x in v):
-            return WeightVector(k, _normalize_positive(v))
-        if all(x < 0 for x in v):
-            return WeightVector(k, _normalize_positive([-x for x in v]))
-        return None
+        return WeightVector(k, _normalize_positive(v)) if all(x > 0 for x in v) else None
     w = _strictly_positive_combination(basis)
     if w is None:
         return None
     weights = _normalize_positive(w)
-    assert all(
-        sum(q.adjacency[i][j] * weights[j] for j in range(n)) == k * weights[i]
-        for i in range(n))
+    assert all(sum(a * x for a, x in zip(row, weights)) == 0 for row in M)
     return WeightVector(k, weights)
+
+
+def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
+    """A strictly positive w with A w = k w, reduced to integers with
+    gcd 1, or None when no such vector exists.
+
+    The eigenspace is solved modulo _WEIGHT_PRIME first.  Rank can only
+    fall mod p, so nullity 0 there proves that k is no eigenvalue.  At
+    nullity 1 the kernel vector is lifted by rational reconstruction and
+    kept only if A w = k w holds exactly over Z.  The nullity over Q is
+    then at least 1 and at most the nullity mod p, so w spans the
+    eigenspace.  Its entry in the free column is positive, so a strictly
+    positive vector exists exactly when w is one.  Higher nullity mod p,
+    or a lift that fails, takes the exact route."""
+    n = q.n
+    M = [[q.adjacency[i][j] - (k if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    basis = nullspace_mod(M, _WEIGHT_PRIME)
+    if not basis:
+        return None
+    if len(basis) == 1:
+        w = _lift_mod(basis[0], _WEIGHT_PRIME)
+        if w is not None and all(
+                sum(a * x for a, x in zip(row, w)) == 0 for row in M):
+            return WeightVector(k, w) if all(x > 0 for x in w) else None
+    return _exact_weight_vector(M, k)
 
 
 def reduced_weight_vector(q: Quiver, factors=None) -> WeightVector | None:
     """The unique strictly positive integer eigen-weighting.
 
-    Only an eigenvalue can carry an eigenvector, at most one eigenvalue
-    can carry a strictly positive one, and that one lies between the
-    extreme row sums.  So the candidates are the integer roots of the
-    char poly in that range, read off its linear factors and tried in
-    ascending order; the first hit is the answer.  `factors` is
+    Only an eigenvalue can carry an eigenvector, and only the spectral
+    radius can carry a strictly positive one: scaling by a positive w
+    with A w = k w gives a similar non-negative matrix whose rows all
+    sum to k, so its spectral radius is k.  The spectral radius is the
+    largest real eigenvalue and lies between the extreme row sums.  So
+    the one candidate is the largest integer root of the char poly in
+    that range, read off its linear factors: were it not the spectral
+    radius, no integer would be.  `factors` is
     factor_over_Q(char_poly(q)), computed here when not given (so a
     quiver on more than MAX_FACTOR_DEGREE vertices raises ValueError)."""
     sums = [sum(row) for row in q.adjacency]
     lo, hi = max(1, min(sums)), max(sums)
     if factors is None:
         factors = factor_over_Q(char_poly(q))
-    roots = {-g.constant for g in factors if g.degree == 1 and g.lc == 1}
-    for k in sorted(k for k in roots if lo <= k <= hi):
-        wv = k_weight_vector(q, k)
-        if wv is not None:
-            return wv
-    return None
+    roots = [-g.constant for g in factors if g.degree == 1 and g.lc == 1]
+    k = max((k for k in roots if lo <= k <= hi), default=None)
+    return None if k is None else k_weight_vector(q, k)
 
 
 # -- characteristic polynomial -------------------------------------------------

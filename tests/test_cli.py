@@ -14,6 +14,7 @@ from mckayq.catalog import dicyclic_table, natural_rep, parse_group_spec
 from mckayq.chartab import table_to_json
 from mckayq.cli import main
 from mckayq.mckay import McKayQuiver
+from mckayq.obstructions import mckay_obstruction_battery
 from mckayq.quiver import Quiver
 
 
@@ -315,3 +316,38 @@ battery:
 battery verdict: obstructed
 """
     assert cpu < 1.0, cpu
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-mckay"])
+def test_oversized_quiver_fails_fast(tmp_path, command):
+    """A quiver with more vertices than the factoring bound is rejected
+    once it is loaded, before its char poly is computed."""
+    n = 1000
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "vertices": [f"v{i}" for i in range(n)],
+        "adjacency": [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process(command, str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: degree 1000 is above the supported bound 64\n"
+    assert cpu < 2.0, cpu
+
+
+def test_oversized_quiver_bound_is_the_vertex_count(capsys, tmp_path):
+    # 65 isolated vertices have only linear char polys, but the CLI
+    # rejects them all the same; the library battery still runs
+    n = 65
+    q = Quiver([f"v{i}" for i in range(n)], [[0] * n for _ in range(n)])
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(q.to_json()))
+    for command in ("analyze", "check-mckay"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: degree 65 is above the supported bound 64\n"
+    assert mckay_obstruction_battery(q).verdict == "obstructed"
+    path.write_text(json.dumps(q.induced(range(64)).to_json()))
+    code, _, err = run(capsys, "check-mckay", str(path))
+    assert code == 1 and err == ""

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckayq import quiver
-from mckayq.polynomials import IntPolynomial, factor_over_Q, parse_polynomial
+from mckayq.catalog import catalog_specs, parse_group_spec
+from mckayq.linalg import nullspace, nullspace_mod, rational_reconstruction
+from mckayq.mckay import McKayQuiver
+from mckayq.polynomials import IntPolynomial, factor_over_Q, is_prime, parse_polynomial
 from mckayq.quiver import (
     Quiver,
     QuiverFormatError,
@@ -257,6 +260,102 @@ def test_reduced_weighting_needs_positivity():
     # eigenvalue 1 exists for the path but with no positive eigenvector
     assert k_weight_vector(mk([[1, 1], [0, 1]]), 1) is None
     assert reduced_weight_vector(mk([[0, 1], [0, 0]])) is None
+
+
+# -- the modular route of k_weight_vector -----------------------------------------------
+
+
+def exact_route(q, k):
+    n = q.n
+    return quiver._exact_weight_vector(
+        [[q.adjacency[i][j] - (k if i == j else 0) for j in range(n)]
+         for i in range(n)], k)
+
+
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    """Counts the exact route's nullspace calls."""
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return nullspace(rows)
+    monkeypatch.setattr(quiver, "nullspace", spy)
+    return calls
+
+
+def test_weight_prime_is_the_largest_prime_below_2_30():
+    p = quiver._WEIGHT_PRIME
+    assert p < 2 ** 30 and is_prime(p)
+    assert not any(is_prime(x) for x in range(p + 1, 2 ** 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_modular_route_matches_the_exact_route(adj):
+    q = mk(adj)
+    sums = [sum(row) for row in adj]
+    for k in range(max(1, min(sums)), max(sums) + 1):
+        assert k_weight_vector(q, k) == exact_route(q, k), k
+
+
+def test_nullity_0_mod_p_is_final(nullspace_calls):
+    # full rank mod p implies full rank over Q: no exact route needed
+    assert k_weight_vector(mk([[0, 2], [3, 1]]), 2) is None
+    assert k_weight_vector(mk([[0, 2], [3, 1]]), 3) == WeightVector(3, (2, 3))
+    assert nullspace_calls == []
+
+
+def test_rank_drop_mod_p_falls_back(monkeypatch, nullspace_calls):
+    # A - 7I has rank 2 over Q but rank 1 mod 5
+    q = mk([[1, 4, 4], [3, 0, 3], [3, 3, 0]])
+    monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 5)
+    M = [[-6, 4, 4], [3, -7, 3], [3, 3, -7]]
+    assert len(nullspace_mod(M, 5)) == 2 and len(nullspace(M)) == 1
+    assert k_weight_vector(q, 7) == WeightVector(7, (4, 3, 3))
+    assert len(nullspace_calls) == 1
+
+
+def test_weight_above_the_reconstruction_bound_falls_back(monkeypatch, nullspace_calls):
+    # w = (1, 10) at k = 10; 1/10 mod 101 has no fraction with |a|, b <= 7
+    q = mk([[0, 1], [100, 0]])
+    big = quiver._WEIGHT_PRIME
+    monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 101)
+    assert rational_reconstruction(pow(10, -1, 101), 101) is None
+    assert k_weight_vector(q, 10) == WeightVector(10, (1, 10))
+    assert len(nullspace_calls) == 1
+    # within the bound of the default prime, the modular route answers
+    monkeypatch.setattr(quiver, "_WEIGHT_PRIME", big)
+    assert k_weight_vector(q, 10) == WeightVector(10, (1, 10))
+    assert len(nullspace_calls) == 1
+
+
+def test_a_lift_that_fails_the_exact_check_is_never_returned(monkeypatch, nullspace_calls):
+    monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 101)
+    # w = (1, 34) at k = 34, but 1/34 = 3 mod 101 lifts to (3, 1)
+    q = mk([[0, 1], [34 * 34, 0]])
+    M = [[-34, 1], [34 * 34, -34]]
+    assert quiver._lift_mod(nullspace_mod(M, 101)[0], 101) == (3, 1)
+    assert k_weight_vector(q, 34) == WeightVector(34, (1, 34))
+    # k = 1 is no eigenvalue of [[102]], but A - kI vanishes mod 101
+    assert k_weight_vector(mk([[102]]), 1) is None
+    assert len(nullspace_calls) == 2
+
+
+def test_faithful_catalog_weightings_never_reach_nullspace(nullspace_calls):
+    faithful = 0
+    for spec in catalog_specs(48):
+        t = parse_group_spec(spec)
+        for i in range(t.n_classes):
+            mq = McKayQuiver(t, tuple(int(j == i) for j in range(t.n_classes)))
+            if mq.is_faithful():
+                faithful += 1
+                rw = reduced_weight_vector(mq.to_quiver())
+                assert rw == WeightVector(mq.dim, t.dims), (spec, i)
+    assert faithful == 749
+    assert nullspace_calls == []
 
 
 # -- isomorphism and orbits -----------------------------------------------------------
