@@ -3,8 +3,9 @@
 Subcommands: `table` prints a character table, `quiver` builds a McKay
 quiver, `analyze` runs the full quiver analysis, `check-mckay` runs the
 obstruction battery, `verify` checks a table file.  Exit codes are a
-stable contract: 0 success or all checks passed, 1 some check failed,
-2 bad input, 3 an internal consistency assertion tripped.
+stable contract: 0 success or all checks passed, 1 some check failed
+or was inconclusive, 2 bad input, 3 an internal consistency assertion
+tripped or a table file failed verification without `--force`.
 
 Vertex and irreducible indices are 1-based in every report; JSON output
 is deterministic (sorted keys, fixed indentation).

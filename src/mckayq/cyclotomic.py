@@ -28,8 +28,6 @@ from functools import lru_cache
 
 from .polynomials import cyclotomic_polynomial, prime_factors
 
-Rational = Fraction
-
 # Largest conductor the parser accepts, for E(n) and for the value as a
 # whole.  Arithmetic in Q(zeta_n) keeps n x phi(n) reduction rows: at the
 # largest prime below this bound, E(1021), they add about 6.5 MB and 20 ms;

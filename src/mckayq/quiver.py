@@ -3,12 +3,12 @@ structural analysis used to screen them: connectivity, integer
 eigen-weightings, exact characteristic polynomials, automorphism orbits,
 isomorphism testing, and affine ADE recognition.
 
-Everything is exact.  An eigenspace is solved modulo a prime and its
-vector kept only when A w = k w holds over Z; otherwise it comes from
-the fraction-free integer elimination in linalg.py, and the positive
-combination of an eigenspace basis is computed over Fraction.  The
-characteristic polynomial is computed modulo word-sized primes and
-recovered by CRT under a bound that every coefficient obeys.
+Everything is exact.  An eigenspace is solved modulo primes, lifted by
+CRT and rational reconstruction, and kept only when A w = k w holds over
+Z for each basis vector; the positive combination of a basis of two or
+more vectors is computed over Fraction.  The characteristic polynomial
+is computed modulo word-sized primes and recovered by CRT under a bound
+that every coefficient obeys.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count
 from math import comb, gcd, lcm
 
-from .linalg import nullspace, nullspace_mod, rational_reconstruction
+from .linalg import nullspace_mod, rational_reconstruction
 from .polynomials import IntPolynomial, factor_over_Q, is_prime
 
 
@@ -218,8 +219,8 @@ class WeightVector:
     weights: tuple[int, ...]
 
 
-# the name bench/layers.py counts nullspace calls through
-_nullspace = nullspace
+# the name bench/layers.py counts modular eliminations through
+_nullspace = nullspace_mod
 
 
 def _strictly_positive_combination(basis: list[list[Fraction]]):
@@ -292,16 +293,17 @@ def _normalize_positive(w: list[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-# the prime of k_weight_vector's modular kernel: the largest below 2^30,
-# so that every residue is a single CPython digit
+# the first prime of _eigenspace: the largest below 2^30, so that every
+# residue is a single CPython digit
 _WEIGHT_PRIME = (1 << 30) - 35
 
 
-def _lift_mod(v: list[int], p: int) -> tuple[int, ...] | None:
-    """v mod p lifted to Z: each entry reconstructed as a fraction, the
-    denominators cleared and the gcd divided out, so that an entry 1 of
-    v stays positive.  None when some entry has no reconstruction."""
-    fracs = [rational_reconstruction(x, p) for x in v]
+def _lift_mod(v: list[int], m: int) -> tuple[int, ...] | None:
+    """v mod m (odd, a prime or a product of primes) lifted to Z: each
+    entry reconstructed as a fraction, the denominators cleared and the
+    gcd divided out, so that an entry 1 of v stays positive.  None when
+    some entry has no reconstruction."""
+    fracs = [rational_reconstruction(x, m) for x in v]
     if None in fracs:
         return None
     den = lcm(*(b for _, b in fracs))
@@ -310,49 +312,72 @@ def _lift_mod(v: list[int], p: int) -> tuple[int, ...] | None:
     return tuple(x // g for x in ints)
 
 
-def _exact_weight_vector(M: list[list[int]], k: int) -> WeightVector | None:
-    """k_weight_vector's exact route, on M = A - kI: the fraction-free
-    `nullspace` and, for an eigenspace of dimension 2 or more, a
-    Fourier-Motzkin search for a positive combination."""
-    basis = nullspace(M)
-    if not basis:
-        return None
-    if len(basis) == 1:
-        # its entry in the free column is 1: it is positive, or none is
-        v = basis[0]
-        return WeightVector(k, _normalize_positive(v)) if all(x > 0 for x in v) else None
-    w = _strictly_positive_combination(basis)
-    if w is None:
-        return None
-    weights = _normalize_positive(w)
-    assert all(sum(a * x for a, x in zip(row, weights)) == 0 for row in M)
-    return WeightVector(k, weights)
+def _eigenspace(M: list[list[int]]) -> list[tuple[int, ...]]:
+    """Basis of the nullspace of the integer matrix M over Q: the reduced
+    row echelon basis (one vector per free column, 1 there and 0 in the
+    other free columns), each vector scaled to integers with gcd 1.
+
+    `nullspace_mod` runs at _WEIGHT_PRIME, then at _crt_prime(0), (1),
+    ...  Rank can only fall mod p, so nullity 0 at any prime is final.
+    A vector's last nonzero entry is its free column.  A prime loses to
+    one with lower nullity, or at equal nullity to one whose list of
+    free columns is lexicographically later; the residues of the best
+    layout met so far are combined by CRT and each vector is lifted by
+    `_lift_mod`.  The basis is returned once M v = 0 holds over Z for
+    every lifted v.  Such a v is 0 after its free column j, so column j
+    of M lies in the Q-span of the earlier columns: every free column
+    mod p is free over Q.  There are at least as many mod p, so the sets
+    are equal, and v is the reduced echelon vector of column j scaled.
+    Only finitely many primes are bad, and reconstruction succeeds once
+    the modulus passes the bound on the entries, so the loop ends."""
+    best, basis, m = None, [], 1
+    for p in chain([_WEIGHT_PRIME], map(_crt_prime, count())):
+        res = nullspace_mod(M, p)
+        if not res:
+            return []
+        key = (-len(res), [max(j for j, x in enumerate(v) if x) for v in res])
+        if best is not None and key < best:
+            continue
+        if key == best:
+            t = pow(m, -1, p)
+            basis = [[c + m * ((r - c) * t % p) for c, r in zip(u, v)]
+                     for u, v in zip(basis, res)]
+            m *= p
+        else:
+            best, basis, m = key, res, p
+        lifts = [_lift_mod(v, m) for v in basis]
+        if None not in lifts and all(sum(a * x for a, x in zip(row, w)) == 0
+                                     for w in lifts for row in M):
+            return lifts
 
 
 def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
     """A strictly positive w with A w = k w, reduced to integers with
     gcd 1, or None when no such vector exists.
 
-    The eigenspace is solved modulo _WEIGHT_PRIME first.  Rank can only
-    fall mod p, so nullity 0 there proves that k is no eigenvalue.  At
-    nullity 1 the kernel vector is lifted by rational reconstruction and
-    kept only if A w = k w holds exactly over Z.  The nullity over Q is
-    then at least 1 and at most the nullity mod p, so w spans the
-    eigenspace.  Its entry in the free column is positive, so a strictly
-    positive vector exists exactly when w is one.  Higher nullity mod p,
-    or a lift that fails, takes the exact route."""
+    The eigenspace comes from `_eigenspace`.  A one-dimensional
+    eigenspace is spanned by an integer vector that is positive in its
+    free column, so a strictly positive vector exists exactly when that
+    one is.  A larger one goes to a Fourier-Motzkin search for a
+    positive combination of the reduced echelon basis."""
     n = q.n
     M = [[q.adjacency[i][j] - (k if i == j else 0) for j in range(n)]
          for i in range(n)]
-    basis = nullspace_mod(M, _WEIGHT_PRIME)
+    basis = _eigenspace(M)
     if not basis:
         return None
     if len(basis) == 1:
-        w = _lift_mod(basis[0], _WEIGHT_PRIME)
-        if w is not None and all(
-                sum(a * x for a, x in zip(row, w)) == 0 for row in M):
-            return WeightVector(k, w) if all(x > 0 for x in w) else None
-    return _exact_weight_vector(M, k)
+        w = basis[0]
+        return WeightVector(k, w) if all(x > 0 for x in w) else None
+    # the combination found depends on the scaling of the basis: rescale
+    # each vector to 1 in its free column, its last nonzero entry
+    w = _strictly_positive_combination(
+        [[Fraction(x, next(d for d in reversed(v) if d)) for x in v] for v in basis])
+    if w is None:
+        return None
+    weights = _normalize_positive(w)
+    assert all(sum(a * x for a, x in zip(row, weights)) == 0 for row in M)
+    return WeightVector(k, weights)
 
 
 def reduced_weight_vector(q: Quiver, factors=None) -> WeightVector | None:

@@ -226,6 +226,20 @@ def test_check_mckay_fail(capsys, tmp_path):
     assert failing == ["weight-one-orbit"]
 
 
+def test_check_mckay_inconclusive_exits_1(capsys, tmp_path):
+    # a genuine McKay quiver whose quintic char poly factor gets no
+    # solvability witness within three primes
+    path = tmp_path / "c11.json"
+    code, _, _ = run(capsys, "quiver", "C:11", "--rep", "natural", "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "check-mckay", str(path), "--prime-budget", "3",
+                       "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "inconclusive"
+    assert {t["status"] for t in data["tests"]} == {"pass", "unknown"}
+
+
 # -- verify ------------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from mckayq import quiver
 from mckayq.catalog import catalog_specs, parse_group_spec
-from mckayq.linalg import nullspace, nullspace_mod, rational_reconstruction
+from mckayq.linalg import nullspace_mod, rational_reconstruction
 from mckayq.mckay import McKayQuiver
 from mckayq.polynomials import IntPolynomial, factor_over_Q, is_prime, parse_polynomial
 from mckayq.quiver import (
@@ -29,7 +30,12 @@ from mckayq.quiver import (
     to_dot,
     weakly_connected_components,
 )
-from mckayq.quiver import WeightVector, _char_poly, _strictly_positive_combination
+from mckayq.quiver import (
+    WeightVector,
+    _char_poly,
+    _normalize_positive,
+    _strictly_positive_combination,
+)
 
 
 def mk(adj, weights=None):
@@ -265,22 +271,45 @@ def test_reduced_weighting_needs_positivity():
 # -- the modular route of k_weight_vector -----------------------------------------------
 
 
+def minus_k(adj, k):
+    n = len(adj)
+    return [[adj[i][j] - (k if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+def sympy_basis(M):
+    return [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(M).nullspace()]
+
+
 def exact_route(q, k):
-    n = q.n
-    return quiver._exact_weight_vector(
-        [[q.adjacency[i][j] - (k if i == j else 0) for j in range(n)]
-         for i in range(n)], k)
+    """The reference: sympy's nullspace basis over Q, which has 1 in each
+    free column, and the same Fourier-Motzkin search."""
+    basis = sympy_basis(minus_k(q.adjacency, k))
+    if not basis:
+        return None
+    w = basis[0] if len(basis) == 1 else _strictly_positive_combination(basis)
+    if w is None or any(x <= 0 for x in w):
+        return None
+    return WeightVector(k, _normalize_positive(w))
+
+
+def assert_sympy_basis(M):
+    # the lifted basis is sympy's reduced echelon basis, each vector
+    # scaled by its entry in its free column, the last nonzero one
+    basis = quiver._eigenspace(M)
+    assert all(type(x) is int for v in basis for x in v)
+    assert [[Fraction(x, next(d for d in reversed(v) if d)) for x in v]
+            for v in basis] == sympy_basis(M)
 
 
 @pytest.fixture
-def nullspace_calls(monkeypatch):
-    """Counts the exact route's nullspace calls."""
+def primes_used(monkeypatch):
+    """The prime of each modular elimination that k_weight_vector runs."""
     calls = []
 
-    def spy(rows):
-        calls.append(rows)
-        return nullspace(rows)
-    monkeypatch.setattr(quiver, "nullspace", spy)
+    def spy(rows, p):
+        calls.append(p)
+        return nullspace_mod(rows, p)
+    monkeypatch.setattr(quiver, "nullspace_mod", spy)
     return calls
 
 
@@ -290,49 +319,74 @@ def test_weight_prime_is_the_largest_prime_below_2_30():
     assert not any(is_prime(x) for x in range(p + 1, 2 ** 30))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+@st.composite
+def repeated_blocks(draw):
+    """Two or three copies of one block, with the vertices permuted, so
+    that every eigenspace of the block is at least twice as large.  With
+    its row sums evened out on the diagonal, the block has the eigenvalue
+    R, the common row sum, and a positive eigenvector."""
+    b = draw(st.integers(1, 4))
+    block = draw(st.lists(st.lists(st.integers(0, 3), min_size=b, max_size=b),
+                          min_size=b, max_size=b))
+    if draw(st.booleans()):
+        top = max(sum(row) for row in block)
+        for i, row in enumerate(block):
+            row[i] += top - sum(row)
+    c = draw(st.integers(2, 3))
+    n = b * c
+    perm = draw(st.permutations(range(n)))
+    big = [[block[i % b][j % b] if i // b == j // b else 0 for j in range(n)]
+           for i in range(n)]
+    return [[big[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                           min_size=n, max_size=n)),
+    repeated_blocks()))
 def test_modular_route_matches_the_exact_route(adj):
     q = mk(adj)
     sums = [sum(row) for row in adj]
     for k in range(max(1, min(sums)), max(sums) + 1):
         assert k_weight_vector(q, k) == exact_route(q, k), k
+        assert_sympy_basis(minus_k(adj, k))
 
 
-def test_nullity_0_mod_p_is_final(nullspace_calls):
-    # full rank mod p implies full rank over Q: no exact route needed
+def test_nullity_0_mod_p_is_final(primes_used):
+    # full rank mod p implies full rank over Q: no further prime needed
     assert k_weight_vector(mk([[0, 2], [3, 1]]), 2) is None
     assert k_weight_vector(mk([[0, 2], [3, 1]]), 3) == WeightVector(3, (2, 3))
-    assert nullspace_calls == []
+    assert primes_used == [quiver._WEIGHT_PRIME] * 2
 
 
-def test_rank_drop_mod_p_falls_back(monkeypatch, nullspace_calls):
-    # A - 7I has rank 2 over Q but rank 1 mod 5
+def test_rank_drop_mod_p_falls_back(monkeypatch, primes_used):
+    # A - 7I has rank 2 over Q but rank 1 mod 5: the next prime's lower
+    # nullity wins
     q = mk([[1, 4, 4], [3, 0, 3], [3, 3, 0]])
     monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 5)
     M = [[-6, 4, 4], [3, -7, 3], [3, 3, -7]]
-    assert len(nullspace_mod(M, 5)) == 2 and len(nullspace(M)) == 1
+    assert len(nullspace_mod(M, 5)) == 2 and len(sympy_basis(M)) == 1
     assert k_weight_vector(q, 7) == WeightVector(7, (4, 3, 3))
-    assert len(nullspace_calls) == 1
+    assert primes_used == [5, quiver._crt_prime(0)]
 
 
-def test_weight_above_the_reconstruction_bound_falls_back(monkeypatch, nullspace_calls):
+def test_weight_above_the_reconstruction_bound_falls_back(monkeypatch, primes_used):
     # w = (1, 10) at k = 10; 1/10 mod 101 has no fraction with |a|, b <= 7
     q = mk([[0, 1], [100, 0]])
     big = quiver._WEIGHT_PRIME
     monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 101)
     assert rational_reconstruction(pow(10, -1, 101), 101) is None
     assert k_weight_vector(q, 10) == WeightVector(10, (1, 10))
-    assert len(nullspace_calls) == 1
-    # within the bound of the default prime, the modular route answers
+    assert primes_used == [101, quiver._crt_prime(0)]
+    # within the bound of the default prime, one prime answers
     monkeypatch.setattr(quiver, "_WEIGHT_PRIME", big)
     assert k_weight_vector(q, 10) == WeightVector(10, (1, 10))
-    assert len(nullspace_calls) == 1
+    assert primes_used == [101, quiver._crt_prime(0), big]
 
 
-def test_a_lift_that_fails_the_exact_check_is_never_returned(monkeypatch, nullspace_calls):
+def test_a_lift_that_fails_the_exact_check_is_never_returned(monkeypatch, primes_used):
     monkeypatch.setattr(quiver, "_WEIGHT_PRIME", 101)
     # w = (1, 34) at k = 34, but 1/34 = 3 mod 101 lifts to (3, 1)
     q = mk([[0, 1], [34 * 34, 0]])
@@ -341,10 +395,37 @@ def test_a_lift_that_fails_the_exact_check_is_never_returned(monkeypatch, nullsp
     assert k_weight_vector(q, 34) == WeightVector(34, (1, 34))
     # k = 1 is no eigenvalue of [[102]], but A - kI vanishes mod 101
     assert k_weight_vector(mk([[102]]), 1) is None
-    assert len(nullspace_calls) == 2
+    assert primes_used == [101, quiver._crt_prime(0)] * 2
 
 
-def test_faithful_catalog_weightings_never_reach_nullspace(nullspace_calls):
+def test_free_columns_mod_p_that_differ_from_those_over_Q(primes_used):
+    p = quiver._WEIGHT_PRIME
+    # A - I = [[p, 1], [0, 0]]: column 0 vanishes mod p, so p puts the
+    # free column at 0 where Q puts it at 1, at the same rank
+    M = [[p, 1], [0, 0]]
+    assert [max(j for j, x in enumerate(v) if x) for v in nullspace_mod(M, p)] == [0]
+    assert quiver._eigenspace(M) == [(-1, p)]
+    assert_sympy_basis(M)
+    assert k_weight_vector(mk([[p + 1, 1], [0, 1]]), 1) is None
+    # the same change on a positive weighting: A - pI = [[-p, 1], [p, -1]]
+    assert k_weight_vector(mk([[0, 1], [p, p - 1]]), p) == WeightVector(p, (1, p))
+    assert primes_used == [p, quiver._crt_prime(0)] * 4
+
+
+def test_a_weighting_that_needs_crt_over_two_primes(primes_used):
+    # the weight ratio 10^6 is above the 23,170 that one prime below 2^30
+    # can reconstruct, and below the bound of two primes
+    assert isqrt(quiver._WEIGHT_PRIME // 2) < 10 ** 6
+    q = mk([[0, 1], [10 ** 12, 0]])
+    assert k_weight_vector(q, 10 ** 6) == WeightVector(10 ** 6, (1, 10 ** 6))
+    # a ratio of 10^10 is above the bound of any one prime below 2^61
+    q = mk([[0, 1], [10 ** 20, 0]])
+    assert k_weight_vector(q, 10 ** 10) == WeightVector(10 ** 10, (1, 10 ** 10))
+    assert primes_used == [quiver._WEIGHT_PRIME, quiver._crt_prime(0)] * 2
+    assert reduced_weight_vector(q) == WeightVector(10 ** 10, (1, 10 ** 10))
+
+
+def test_faithful_catalog_weightings_use_one_prime(primes_used):
     faithful = 0
     for spec in catalog_specs(48):
         t = parse_group_spec(spec)
@@ -355,7 +436,7 @@ def test_faithful_catalog_weightings_never_reach_nullspace(nullspace_calls):
                 rw = reduced_weight_vector(mq.to_quiver())
                 assert rw == WeightVector(mq.dim, t.dims), (spec, i)
     assert faithful == 749
-    assert nullspace_calls == []
+    assert primes_used == [quiver._WEIGHT_PRIME] * 749
 
 
 # -- isomorphism and orbits -----------------------------------------------------------
