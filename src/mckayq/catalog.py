@@ -14,10 +14,9 @@ tensor product of the factors' choices for direct products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm, prod
 
-from .chartab import CharacterTable, ClassFunction, ConjClass, character_of, decompose
+from .chartab import CharacterTable, ConjClass
 from .cyclotomic import MAX_CONDUCTOR, Cyclotomic, E
 
 
@@ -215,9 +214,9 @@ def direct_product(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     n1 = getattr(t1, "natural_multiplicities", None)
     n2 = getattr(t2, "natural_multiplicities", None)
     if n1 is not None and n2 is not None:
-        v1, v2 = character_of(t1, n1), character_of(t2, n2)
-        outer = ClassFunction(t, [a * b for a in v1 for b in v2])
-        t.natural_multiplicities = decompose(outer)
+        # row i*r2 + j is chi_i x psi_j, so rho1 x rho2 has the outer
+        # product of the multiplicities
+        t.natural_multiplicities = tuple(a * b for a in n1 for b in n2)
     return t
 
 

@@ -25,7 +25,8 @@ from .cyclotomic import (
     _Field,
     parse_cyclotomic,
 )
-from .polynomials import cyclotomic_polynomial, is_prime, prime_factors
+from .linalg import crt
+from .polynomials import _crt_prime, cyclotomic_polynomial, prime_factors
 
 
 class TableMismatch(ValueError):
@@ -203,29 +204,29 @@ class ClassFunction:
 # -- fast exact engine -------------------------------------------------------
 #
 # All table values live in one Q(zeta_E), E the lcm of their conductors,
-# and the engine is that field: a `cyclotomic._Field` of conductor E
-# that also holds the table's characters in exponent form.  A root of
-# unity whose power-basis form has several terms is stored as the
-# one-term dict {e: 1} (or {e: -1} for odd E), read off its coordinates
-# against the reduction rows; a one-term form, whose exponent is below
-# phi(E) and so cheaper to reduce, is kept.  Products are exponent
-# additions, conjugation negates exponents, and one reduction mod Phi_E
-# at the end turns an accumulated sum into canonical power-basis
-# coordinates.  Everything stays exact.  Every caller that recognises a
-# class function (exponent dicts per class) as a row, or splits it into
-# irreducibles, does so through `row_of`/`multiplicities`.
+# and the engine is that field: a `cyclotomic._Field` of conductor E that
+# also holds the table's characters in exponent form.  A root of unity
+# whose power-basis form has several terms is stored as the one-term dict
+# {e: 1} (or {e: -1} for odd E), read off its coordinates against the
+# reduction rows; a one-term form, whose exponent is below phi(E) and so
+# cheaper to reduce, is kept.  Products are exponent additions,
+# conjugation negates exponents, and one reduction mod Phi_E at the end
+# turns an accumulated sum into canonical power-basis coordinates.
 #
-# Products of rows (the McKay matrices, the walk route, the dual action)
-# are recognised through `product_rows`, on an image of the table in
-# Z/M: zeta_E -> g with Phi_E(g) = 0 mod M, M a product of primes
-# p = 1 mod E below 2^61.  That is a ring map, so a miss proves that a
-# product is no row.  A hit is exact too: for a difference delta of a
-# product and a row, every embedding is at most B = (|left|_1 + 1) * N,
-# N the largest l1 norm of a table value's dict; the map's kernel has
-# index M, so a hit makes M divide the norm N(delta), which is at most
-# B^phi(E) < M, so delta = 0.  M grows when a larger B arrives.  Tables
-# with a non-integral coefficient, `decompose`, `dual_index` and
-# `mckay.eigen_check` stay on the exact arithmetic.
+# Every row is recognised (`row_of`, `product_rows`) on an image of the
+# table in Z/M: zeta_E -> g with Phi_E(g) = 0 mod M, M a product of
+# primes p = 1 mod E below 2^61 (`polynomials._crt_prime`) that divide
+# no denominator in play.  That is a ring map, so a miss proves that a
+# class function x, or a product x * chi_i, is no row.  A hit is exact
+# too.  Let D and D' be the lcm of the coefficient denominators of the
+# table (1 for a genuine table) and of x, and N and L the largest l1
+# norm of a dict of the table and of x.  For a difference delta from a
+# row at one class, D'D * delta is in Z[zeta_E] and each embedding of it
+# is at most B = D'D * (L + 1) * max(N, 1); the map's kernel has index
+# M, so a hit makes M divide its norm, at most ceil(B)^phi(E) < M, so
+# delta = 0.  M grows when a larger B arrives.  Misses are split by
+# exact `row_inner`; `verify_table`, `coords` and `mckay.eigen_check`
+# stay on the exact arithmetic.
 
 
 def _common_conductor(rows) -> int:
@@ -235,10 +236,10 @@ def _common_conductor(rows) -> int:
 
 class _TableEngine(_Field):
     """Q(zeta_E) with one table's rows (`vals`, `conj_vals`, `coords`),
-    their image mod `modulus` (`row_images`, `image_rows`), and
-    per-table results shared by `mckay`: `product_cache`, the McKay
-    matrix of each irreducible, and `dual_action`.  `units[j]` is the
-    multiplicity vector of row j, shared by every caller."""
+    their image mod `modulus` (`row_images`, `image_rows`), the one
+    route to recognise a row, and per-table results shared by `mckay`:
+    `product_cache`, the McKay matrix of each irreducible, and
+    `dual_action`.  `units[j]` is the multiplicity vector of row j."""
 
     def __init__(self, table: CharacterTable):
         super().__init__(_common_conductor(table.characters))
@@ -253,16 +254,10 @@ class _TableEngine(_Field):
             self.vals.append([dict((roots[x],)) if len(d) > 1 and x in roots else d
                               for d, x in zip(dicts, self.coords[-1])])
         self.conj_vals = [[self.galois(d, -1) for d in row] for row in self.vals]
-        self.row_lookup: dict[tuple, int] = {}
-        for i, row in enumerate(self.coords):
-            self.row_lookup.setdefault(tuple(row), i)
-        self.integral = all(type(c) is int for row in self.vals for d in row
-                            for c in d.values())
+        self.den = math.lcm(*(c.denominator for row in self.vals for d in row
+                              for c in d.values()))  # D
         self.norm = max(sum(map(abs, d.values())) for row in self.vals for d in row)
-        # M, its primes with a root of Phi_E mod each, and where the
-        # search for the next prime kE + 1 below 2^61 goes on
-        self.modulus, self.roots_mod = 1, []
-        self.next_k = ((1 << 61) - 2) // self.exponent
+        self.modulus = 1
         self.product_cache: dict[int, tuple] = {}
         self.dual_action: dict[int, tuple[int, ...]] | None = None
 
@@ -273,7 +268,8 @@ class _TableEngine(_Field):
 
     def row_of(self, dicts) -> int | None:
         """Index of the row with these values (exponent dicts), or None."""
-        return self.row_lookup.get(tuple(self.reduce_dict(d) for d in dicts))
+        key = tuple(self._images(dicts))  # first, as it may rebuild the image
+        return self.image_rows.get(key)
 
     def multiplicities(self, dicts) -> tuple[int, ...]:
         """Multiplicities in the irreducible basis of the class function
@@ -302,49 +298,48 @@ class _TableEngine(_Field):
 
     def product_rows(self, left) -> list:
         """Per row i, the index of the row equal to left * chi_i (`left`
-        one exponent dict per class), or None if that product is no row.
-
-        Answered on the image mod M (see the comment above), rebuilt
-        first if M <= B^phi(E); by `row_of` on exact products when a
-        coefficient is not an integer.
-        """
-        norms = [sum(map(abs, d.values())) for d in left]
-        if not self.integral or any(type(x) is not int for x in norms):
-            return [self.row_of([self.mul(a, b) for a, b in zip(left, row)])
-                    for row in self.vals]
-        target = ((max(norms) + 1) * self.norm) ** self.phi  # B^phi(E)
-        if target >= self.modulus:
-            self._build_image(target)
+        one exponent dict per class), or None if that product is no row."""
+        li = self._images(left)
         M, get = self.modulus, self.image_rows.get
-        li = [self.image(d) for d in left]
         return [get(tuple([a * b % M for a, b in zip(li, row)]))
                 for row in self.row_images]
 
-    def image(self, d: dict) -> int:
-        """The image of an exponent dict with int coefficients mod M."""
-        return sum(c * self.g_powers[e] for e, c in d.items()) % self.modulus
+    def _images(self, dicts) -> list[int]:
+        """The images of one call's dicts x, once M passes ceil(B)^phi(E)
+        and is prime to D'D (see the comment above)."""
+        norms = [sum(map(abs, d.values())) for d in dicts]
+        den = self.den
+        if any(type(x) is not int for x in norms):  # a Fraction coefficient
+            den *= math.lcm(*(c.denominator for d in dicts for c in d.values()))
+        target = math.ceil(den * (max(norms) + 1) * max(self.norm, 1)) ** self.phi
+        if target >= self.modulus or math.gcd(den, self.modulus) != 1:
+            self._build_image(target, den)
+        return [self.image(d) for d in dicts]
 
-    def _build_image(self, target: int) -> None:
-        """Grow M past `target` by primes p = 1 mod E below 2^61, and
-        rebuild the images of the rows."""
-        n = self.exponent
-        while self.modulus <= target:
-            p = self.next_k * n + 1
-            self.next_k -= 1
-            if is_prime(p):
+    def image(self, d: dict) -> int:
+        """The image of an exponent dict mod M; a Fraction maps to its
+        numerator times the inverse of its denominator."""
+        s = sum(c * self.g_powers[e] for e, c in d.items())
+        if type(s) is not int:
+            s = s.numerator * pow(s.denominator, -1, self.modulus)
+        return s % self.modulus
+
+    def _build_image(self, target: int, avoid: int) -> None:
+        """Make M the product of the first primes _crt_prime(i, E) that do
+        not divide `avoid` and pass `target`, and rebuild the images."""
+        n, M, g, i = self.exponent, 1, 0, 0
+        while M <= target:
+            p, i = _crt_prime(i, n), i + 1
+            if avoid % p:
                 # a^((p-1)/n) has order n unless its (n/q)-th power is 1
                 h = next(h for h in (pow(a, (p - 1) // n, p) for a in range(2, p))
                          if all(pow(h, n // q, p) != 1 for q in prime_factors(n)))
-                self.roots_mod.append((p, h))
-                self.modulus *= p
-        M, g, m = self.modulus, 0, 1
-        for p, h in self.roots_mod:  # CRT
-            g, m = g + m * ((h - g) * pow(m, -1, p) % p), m * p
+                (g,), M = crt([g], M, [h], p), M * p
         if sum(c * pow(g, k, M) for k, c in enumerate(cyclotomic_polynomial(n))) % M:
             raise ArithmeticError(f"Phi_{n}(g) is not 0 mod {M}")
-        self.g, self.g_powers = g, [pow(g, e, M) for e in range(n)]
+        self.modulus, self.g, self.g_powers = M, g, [pow(g, e, M) for e in range(n)]
         self.row_images = [tuple(self.image(d) for d in row) for row in self.vals]
-        # the first row with an image, as in `row_lookup`
+        # the first row with an image wins
         self.image_rows = {img: i for i, img in reversed(list(enumerate(self.row_images)))}
 
     def rep_dicts(self, mult) -> list[dict]:
@@ -685,7 +680,7 @@ def table_from_json(data, force: bool = False) -> CharacterTable:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as ex:
+        except (json.JSONDecodeError, RecursionError) as ex:
             raise TableFormatError(f"not valid JSON: {ex}") from ex
     if not isinstance(data, dict):
         raise TableFormatError("table JSON must be an object")

@@ -223,19 +223,25 @@ def _q_divmod(a: list[Fraction], b: list[Fraction]):
 
 
 def _poly_xgcd(f: list[Fraction], g: list[Fraction]):
-    """Half of the extended gcd over Q[x]: (gcd, u) with u*f = gcd mod g."""
+    """Half of the extended gcd over Q[x]: (gcd, u) with u*f = gcd mod g.
+    Each remainder is made monic, and its cofactor scaled with it, before
+    it divides: unnormalised remainders over Q grow coefficients whose
+    size explodes with the degree."""
     r0, r1 = list(f), list(g)
     while r0 and not r0[-1]:
         r0.pop()
     u0, u1 = [Fraction(1)], []
     while r1:
         q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
         # u0 - q*u1
         u = u0 + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
         for i, qi in enumerate(q):
             for j, uj in enumerate(u1):
                 u[i + j] -= qi * uj
+        if r:
+            inv = 1 / r[-1]
+            r, u = [c * inv for c in r], [c * inv for c in u]
+        r0, r1 = r1, r
         u0, u1 = u1, u
     return r0, u0
 

@@ -1,6 +1,7 @@
 """Linear algebra over Z through one elimination kernel modulo a prime.
 
-`nullspace_mod` is elimination over F_p for a prime p.
+`nullspace_mod` is elimination over F_p for a prime p, and `crt` is the
+one Chinese-remainder step of every computation modulo several primes.
 `rational_reconstruction` recovers a small fraction from its residue
 (Wang, Guy & Davenport 1982, SIGSAM Bull. 16).  Neither is exact over Q
 on its own.  Rank can only fall mod p, so the nullity mod p is an upper
@@ -51,6 +52,13 @@ def nullspace_mod(rows, p: int) -> list[list[int]]:
             vec[pc] = -sum(a * b for a, b in zip(row[pc + 1:], vec[pc + 1:])) % p
         basis.append(vec)
     return basis
+
+
+def crt(xs, m: int, ys, p: int) -> list[int]:
+    """The residues mod m*p that are xs mod m and ys mod p, entry by
+    entry, for m prime to p and each x in range(m)."""
+    t = pow(m, -1, p)
+    return [x + m * ((y - x) * t % p) for x, y in zip(xs, ys)]
 
 
 def rational_reconstruction(u: int, m: int) -> tuple[int, int] | None:

@@ -361,6 +361,18 @@ def is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _crt_prime(i: int, n: int = 2) -> int:
+    """The (i+1)-th largest prime p = 1 mod n below 2^61; callers ask for
+    i = 0, 1, ... in turn, so the cache holds as many primes per n as the
+    largest bound met."""
+    p = _crt_prime(i - 1, n) if i else ((1 << 61) - 2) // n * n + 1 + n
+    p -= n
+    while not is_prime(p):
+        p -= n
+    return p
+
+
+@lru_cache(maxsize=None)
 def prime_factors(n: int) -> tuple[int, ...]:
     out = []
     d = 2

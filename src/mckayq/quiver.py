@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, count
 from math import comb, gcd, lcm
 
-from .linalg import nullspace_mod, rational_reconstruction
-from .polynomials import IntPolynomial, factor_over_Q, is_prime
+from .linalg import crt, nullspace_mod, rational_reconstruction
+from .polynomials import IntPolynomial, _crt_prime, _sym, factor_over_Q
 
 
 class QuiverFormatError(ValueError):
@@ -106,7 +105,7 @@ class Quiver:
         if isinstance(data, (str, bytes)):
             try:
                 data = json.loads(data)
-            except json.JSONDecodeError as ex:
+            except (json.JSONDecodeError, RecursionError) as ex:
                 raise QuiverFormatError(f"not valid JSON: {ex}") from ex
         if not isinstance(data, dict):
             raise QuiverFormatError("quiver JSON must be an object")
@@ -120,52 +119,34 @@ class Quiver:
 
 
 def strongly_connected_components(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """Tarjan, iterative; components as sorted tuples, sorted by first vertex."""
+    """Components as sorted tuples, sorted by first vertex.  The component
+    of v is what v reaches intersected with what reaches v; each set is
+    an int bitmask grown from the adjacency rows or columns."""
     n = q.n
-    adj = [[j for j in range(n) if q.adjacency[i][j] > 0] for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return tuple(sorted(comps, key=lambda c: c[0]))
+    succ, pred = [0] * n, [0] * n
+    for i, row in enumerate(q.adjacency):
+        for j, a in enumerate(row):
+            if a:
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
+
+    def reach(v: int, nbrs: list[int]) -> int:
+        seen = todo = 1 << v
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = nbrs[low.bit_length() - 1] & ~seen
+            seen |= new
+            todo |= new
+        return seen
+
+    comps, done = [], 0
+    for v in range(n):
+        if not done >> v & 1:
+            comp = reach(v, succ) & reach(v, pred)
+            done |= comp
+            comps.append(tuple(u for u in range(v, n) if comp >> u & 1))
+    return tuple(comps)
 
 
 class _Partition:
@@ -339,9 +320,7 @@ def _eigenspace(M: list[list[int]]) -> list[tuple[int, ...]]:
         if best is not None and key < best:
             continue
         if key == best:
-            t = pow(m, -1, p)
-            basis = [[c + m * ((r - c) * t % p) for c, r in zip(u, v)]
-                     for u, v in zip(basis, res)]
+            basis = [crt(u, m, v, p) for u, v in zip(basis, res)]
             m *= p
         else:
             best, basis, m = key, res, p
@@ -405,17 +384,6 @@ def reduced_weight_vector(q: Quiver, factors=None) -> WeightVector | None:
 # -- characteristic polynomial -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _crt_prime(i: int) -> int:
-    """The (i+1)-th largest prime below 2^61; callers ask for i = 0, 1, ...
-    in turn, so the cache holds as many primes as the largest bound met."""
-    p = _crt_prime(i - 1) if i else (1 << 61) + 1
-    p -= 2
-    while not is_prime(p):
-        p -= 2
-    return p
-
-
 def _char_poly_mod(A, p: int) -> list[int]:
     """det(xI - A) mod p, constant first: similarity reduction to
     Hessenberg form over F_p, then the standard three-term recurrence on
@@ -475,11 +443,8 @@ def _char_poly(A) -> list[int]:
     while M <= bound:
         p = _crt_prime(used)
         used += 1
-        res = _char_poly_mod(A, p)
-        t = pow(M, -1, p)
-        coeffs = [c + M * ((r - c) * t % p) for c, r in zip(coeffs, res)]
-        M *= p
-    return [c - M if c > M // 2 else c for c in coeffs]
+        coeffs, M = crt(coeffs, M, _char_poly_mod(A, p), p), M * p
+    return [_sym(c, M) for c in coeffs]
 
 
 def char_poly(q: Quiver) -> IntPolynomial:

@@ -275,6 +275,17 @@ def test_verify_zero_to_a_negative_power(tmp_path, value):
     assert "zero to a negative power" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["verify"], ["analyze"], ["check-mckay"],
+                                     ["table", "--table"]])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    proc = run_process(*command, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not valid JSON" in proc.stderr
+
+
 def test_verify_power_above_the_bound(tmp_path):
     data = table_to_json(parse_group_spec("C:2"))
     data["characters"][1][1] = "(2)^100000000"

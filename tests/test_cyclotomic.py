@@ -288,6 +288,16 @@ def test_parse_bounds_powers():
     assert parse_cyclotomic("E(7)^-100000001") == E(7, -100000001)
 
 
+def test_inverse_of_a_large_power_is_fast():
+    # a short value within MAX_POWER and MAX_POWER_BITS whose inverse
+    # needs the extended gcd of two polynomials of degree 64 over Q
+    text = "((1+E(128)+2*E(128)^3)^20)^-1"
+    start = time.process_time()
+    inv = parse_cyclotomic(text)
+    assert time.process_time() - start < 1.0
+    assert inv * parse_cyclotomic(text[1:-4]) == 1
+
+
 def test_parse_bounds_the_size_of_powers():
     # a power of a power is rejected by the size of its value, at its k
     for text in ("((2)^1024)^1024", "(((2)^1024)^1024)^1024"):

@@ -240,6 +240,20 @@ def test_cyclotomic_index():
         assert cyclotomic_index(f) is None, f
 
 
+def test_crt_primes_are_the_largest_below_2_61():
+    for n in (1, 2, 3, 4, 48, 1024):
+        want, p = [], (1 << 61) - 1
+        p -= (p - 1) % n  # the largest p = 1 mod n below 2^61
+        while len(want) < 4:
+            if sympy.isprime(p):
+                want.append(p)
+            p -= n
+        assert [polynomials._crt_prime(i, n) for i in range(4)] == want, n
+    assert polynomials._crt_prime(0) == (1 << 61) - 1
+    assert [polynomials._crt_prime(i) for i in range(4)] == [
+        polynomials._crt_prime(i, 2) for i in range(4)]
+
+
 def test_import_does_no_polynomial_work():
     code = ("import mckayq\n"
             "from mckayq import polynomials, quiver\n"

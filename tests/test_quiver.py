@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mckayq import quiver
 from mckayq.catalog import catalog_specs, parse_group_spec
 from mckayq.linalg import nullspace_mod, rational_reconstruction
-from mckayq.mckay import McKayQuiver
+from mckayq.mckay import McKayQuiver, mckay_matrix
 from mckayq.polynomials import IntPolynomial, factor_over_Q, is_prime, parse_polynomial
 from mckayq.quiver import (
     Quiver,
@@ -81,11 +81,25 @@ adjacency_strategy = st.integers(1, 5).flatmap(
 # -- connectivity ---------------------------------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
-@given(adjacency_strategy)
+# up to 12 vertices, mostly without arrows, with loops and double arrows
+sparse_adjacency_strategy = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(adjacency_strategy, sparse_adjacency_strategy))
 def test_scc_matches_transitive_closure(adj):
-    got = strongly_connected_components(mk(adj))
-    assert tuple(sorted(got)) == brute_scc(adj)
+    assert strongly_connected_components(mk(adj)) == brute_scc(adj)
+
+
+def test_scc_of_catalog_mckay_quivers_matches_transitive_closure():
+    for spec in catalog_specs(48):
+        t = parse_group_spec(spec)
+        for k in range(t.n_classes):
+            A = mckay_matrix(t, [int(i == k) for i in range(t.n_classes)])
+            assert strongly_connected_components(mk(A)) == brute_scc(A), (spec, k)
 
 
 def test_scc_frozen():

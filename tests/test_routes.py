@@ -1,13 +1,14 @@
 """Each faster route against the slower route it replaced.
 
-Parsing E(n)^k, `decompose`, `dual_index` and the natural multiplicities
-of direct products run on the table engine or on canonical roots of
-unity; products of rows are recognised on the engine's modular image;
-`analyze` shares one QuiverAnalysis with the battery it embeds.
-These tests recompute the same quantity the old way (Cyclotomic
-arithmetic, `inner_product`, separate library calls) and compare, or
-count calls to show that a shared quantity (one analysis, one dual
-group action per table) is computed once.
+Parsing E(n)^k, `decompose` and `dual_index` run on the table engine or
+on canonical roots of unity; rows and products of rows are recognised on
+the engine's modular image; the natural multiplicities of direct
+products are outer products; `analyze` shares one QuiverAnalysis with
+the battery it embeds.  These tests recompute the same quantity the old
+way (Cyclotomic arithmetic, `inner_product`, an exact lookup of reduced
+coordinates, separate library calls) and compare, or count calls to
+show that a shared quantity (one analysis, one dual group action per
+table) is computed once.
 """
 
 import json
@@ -31,6 +32,7 @@ from mckayq.chartab import (
     ClassFunction,
     NotACharacter,
     TableFormatError,
+    character_of,
     decompose,
     inner_product,
     table_from_json,
@@ -245,9 +247,10 @@ def test_engine_decompose_non_characters():
 def test_dual_index_matches_conjugate_route():
     for spec in catalog_specs(48):
         t = parse_group_spec(spec)
+        eng = t._engine()
         for i in range(t.n_classes):
-            conj = t.row_index([v.conjugate() for v in t.characters[i]])
-            assert t.dual_index(i) == conj, (spec, i)
+            conj = t.irreducible(i).conjugate()
+            assert t.dual_index(i) == exact_row(eng, [v.terms(eng.exponent) for v in conj])
 
 
 # -- the dual group action, once per table ------------------------------------------
@@ -270,14 +273,23 @@ def test_dual_action_is_computed_once(monkeypatch):
 # -- products recognised on the modular image --------------------------------------------
 
 
+def exact_row(eng, dicts):
+    """The exact lookup: the first row whose coordinates are those of
+    `dicts` reduced mod Phi_E, or None."""
+    key = [eng.reduce_dict(d) for d in dicts]
+    return next((i for i, row in enumerate(eng.coords) if row == key), None)
+
+
 def exact_products(t, left):
-    """The exact route: each product of `left` with a row, split by
-    `multiplicities` (reduction mod Phi_E, then `row_inner`)."""
+    """The exact route: each product of `left` with a row, found by
+    `exact_row` or else split by `row_inner`."""
     eng = t._engine()
     rows = []
     for i, row in enumerate(eng.vals):
+        prod = [eng.mul(a, b) for a, b in zip(left, row)]
+        j = exact_row(eng, prod)
         try:
-            rows.append(eng.multiplicities([eng.mul(a, b) for a, b in zip(left, row)]))
+            rows.append(eng.units[j] if j is not None else eng.inner_multiplicities(prod))
         except NotACharacter:
             raise ValueError(
                 f"product with row {i + 1} does not decompose integrally; "
@@ -287,7 +299,7 @@ def exact_products(t, left):
 
 def exact_dual_action(t):
     eng = t._engine()
-    return {l: tuple(eng.row_of([eng.mul(a, b) for a, b in zip(eng.vals[l], row)])
+    return {l: tuple(exact_row(eng, [eng.mul(a, b) for a, b in zip(eng.vals[l], row)])
                      for row in eng.vals)
             for l in range(t.n_classes) if t.dims[l] == 1}
 
@@ -296,14 +308,28 @@ def _l1(d):
     return sum(abs(c) for c in d.values())
 
 
+def _primes_of(eng):
+    """The primes of M, in order: the first _crt_prime(i, E) that divide
+    it (no more than 20 are looked at)."""
+    rest, primes = eng.modulus, []
+    for i in range(20):
+        p = chartab._crt_prime(i, eng.exponent)
+        if rest % p == 0:
+            rest //= p
+            primes.append(p)
+    assert rest == 1
+    return primes
+
+
 def _check_modulus(eng, bound):
-    """M > bound^phi(E), and zeta_E -> g is a ring map: Phi_E(g) = 0 mod M."""
+    """M > bound^phi(E), M a product of primes from `_crt_prime` that
+    divide no denominator of the table, and zeta_E -> g is a ring map:
+    Phi_E(g) = 0 mod M."""
     M = eng.modulus
     assert M > bound ** eng.phi
-    assert math.prod(p for p, _ in eng.roots_mod) == M
-    for p, h in eng.roots_mod:
+    for p in _primes_of(eng):
         assert (p - 1) % eng.exponent == 0 and p < 1 << 61 and is_prime(p)
-        assert eng.g % p == h
+        assert eng.den % p
     phi = cyclotomic_polynomial(eng.exponent)
     assert sum(c * pow(eng.g, k, M) for k, c in enumerate(phi)) % M == 0
 
@@ -330,7 +356,7 @@ def test_image_route_matches_exact_route(monkeypatch, spec):
     moduli = _route_pairs(monkeypatch)
     t = parse_group_spec(spec)
     eng = t._engine()
-    assert eng.integral
+    assert eng.den == 1
     assert dual_group_action(t) == exact_dual_action(t)
     for k in range(t.n_classes):
         assert mckay_matrix(t, [int(i == k) for i in range(t.n_classes)]) == \
@@ -355,14 +381,27 @@ def test_recognised_products_share_the_engine_unit_rows():
         tuple(2 * a for a in row) for row in A)
 
 
-def test_a_modulus_below_the_bound_is_rejected():
+@pytest.mark.parametrize("spec", catalog_specs(48) + ["2I"])
+def test_row_of_matches_the_exact_lookup(spec):
+    t = parse_group_spec(spec)
+    eng = t._engine()
+    products = [[eng.mul(a, b) for a, b in zip(x, y)] for x in eng.vals for y in eng.vals]
+    for dicts in eng.vals + eng.conj_vals + products:
+        assert eng.row_of(dicts) == exact_row(eng, dicts)
+
+
+def test_a_modulus_below_the_bound_is_rejected(monkeypatch):
     t = cyclic_table(4)
     eng = t._engine()
     # zeta_4 -> 2 mod 5 is a ring map Z[i] -> F_5, under which 1+2i and 0
-    # collide: 2+2i has the image of 1, the trivial character
-    eng.roots_mod, eng.modulus = [(5, 2)], 5
-    eng._build_image(0)
-    assert eng.g == 2 and eng.image({0: 1, 1: 2}) == eng.image({}) == 0
+    # collide: 2+2i has the image of 1, the trivial character.  The first
+    # prime of every image is faked to be 5.
+    real = chartab._crt_prime
+    monkeypatch.setattr(chartab, "_crt_prime",
+                        lambda i, n: 5 if i == 0 else real(i - 1, n))
+    eng._build_image(4, 1)
+    assert eng.modulus == 5 and eng.g == 2
+    assert eng.image({0: 1, 1: 2}) == eng.image({}) == 0
     left = [{0: 2, 1: 2}] * 4
     assert eng.image(left[0]) == eng.image({0: 1})
     fake = [eng.image_rows.get(tuple(eng.image(left[0]) * x % 5 for x in row))
@@ -370,18 +409,18 @@ def test_a_modulus_below_the_bound_is_rejected():
     assert fake == [0, 1, 2, 3]
     # B = (|2+2i|_1 + 1) * 1 = 5 and 5^phi(4) = 25 >= 5: M must grow first
     assert eng.product_rows(left) == [None] * 4
-    assert eng.roots_mod[0] == (5, 2)
+    assert _primes_of(eng)[0] == 5
     _check_modulus(eng, 5)
     with pytest.raises(ValueError, match="product with row 1 does not"):
         exact_products(t, left)
 
 
-def _fraction_table():
-    """C:3 with its last row replaced by (1, 1/2, 1/2): no character table,
+def _table_with_denominator(p):
+    """C:3 with its last row replaced by (1, 1/p, 1/p): no character table,
     and a coefficient that is not an integer."""
     t = cyclic_table(3)
-    rows = [t.characters[0], t.characters[1], (1, Fraction(1, 2), Fraction(1, 2))]
-    return chartab.CharacterTable("C3-half", 3, t.classes, rows)
+    rows = [t.characters[0], t.characters[1], (1, Fraction(1, p), Fraction(1, p))]
+    return chartab.CharacterTable("C3-half" if p == 2 else f"C3-{p}", 3, t.classes, rows)
 
 
 def _outcome(fn, *args):
@@ -391,25 +430,49 @@ def _outcome(fn, *args):
         return type(ex), str(ex)
 
 
-def test_a_table_with_fractions_keeps_the_exact_route(monkeypatch):
-    builds = _counting(monkeypatch, chartab._TableEngine, "_build_image")
-    t = _fraction_table()
+def _denominators(dicts):
+    return math.lcm(*(Fraction(c).denominator for d in dicts for c in d.values()))
+
+
+@pytest.mark.parametrize("p", [2, chartab._crt_prime(0, 3)], ids=["half", "crt-prime"])
+def test_a_table_with_fractions_is_recognised_on_the_image(p):
+    t = _table_with_denominator(p)
     eng = t._engine()
-    assert not eng.integral
+    assert eng.den == p and eng.norm == 1
     for k in range(3):
         left = eng.vals[k]
         assert eng.product_rows(left) == [
-            eng.row_of([eng.mul(a, b) for a, b in zip(left, row)]) for row in eng.vals]
+            exact_row(eng, [eng.mul(a, b) for a, b in zip(left, row)]) for row in eng.vals]
+        # B = D' * D * (L + 1) * max(N, 1), and no prime of M divides D
+        _check_modulus(eng, _denominators(left) * p * (max(_l1(d) for d in left) + 1))
+        assert p not in _primes_of(eng)
         rho = [int(i == k) for i in range(3)]
         assert _outcome(mckay_matrix, t, rho) == _outcome(exact_products, t, left)
+    for dicts in eng.vals + eng.conj_vals:
+        assert eng.row_of(dicts) == exact_row(eng, dicts)
     assert _outcome(mckay_matrix, t, [0, 1, 0]) == (
         ValueError, "product with row 2 does not decompose integrally; "
                     "the table is not a character table")
     assert _outcome(dual_group_action, t) == (
-        InternalInconsistency, "row 2 * row 2 is not a row of C3-half")
+        InternalInconsistency, f"row 2 * row 2 is not a row of {t.name}")
     m = McKayQuiver(t, [1, 0, 0])
     assert [character_walk_matrix(m, L) for L in range(4)] == [m.matrix] * 4
-    assert builds == []
+
+
+def test_a_denominator_that_divides_M_rebuilds_it():
+    t = cyclic_table(3)
+    eng = t._engine()
+    # an l1 norm of 2^62 makes M a product of three primes, more than the
+    # bound of f below needs
+    assert t.row_index([2 ** 62] * 3) is None
+    p = _primes_of(eng)[0]
+    f = t.irreducible(1) * Fraction(1, p)
+    assert len(_primes_of(eng)) == 3 and eng.modulus > (p + 1) ** eng.phi
+    assert_routes_agree(f)
+    with pytest.raises(NotACharacter, match=f"multiplicity of row 2 is 1/{p}"):
+        decompose(f)
+    assert p not in _primes_of(eng)
+    assert t.dual_index(1) == 2
 
 
 def test_roots_of_unity_are_stored_as_monomials():
@@ -430,10 +493,12 @@ def test_roots_of_unity_are_stored_as_monomials():
 
 @pytest.mark.parametrize("spec", ["C:2xBD:8", "C:3xC:3", "C:5xC:7"])
 def test_direct_product_naturals_are_outer_products(spec):
-    left, right = spec.split("x")
-    n1 = natural_rep(parse_group_spec(left))
-    n2 = natural_rep(parse_group_spec(right))
-    assert natural_rep(parse_group_spec(spec)) == tuple(a * b for a in n1 for b in n2)
+    # the reference decomposes the outer character by inner products
+    t1, t2 = (parse_group_spec(part) for part in spec.split("x"))
+    v1, v2 = (character_of(t, natural_rep(t)) for t in (t1, t2))
+    t = parse_group_spec(spec)
+    outer = ClassFunction(t, [a * b for a in v1 for b in v2])
+    assert natural_rep(t) == decompose_by_inner_products(outer)[0]
 
 
 # -- one analysis per analyze call ----------------------------------------------------------
