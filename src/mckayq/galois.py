@@ -31,26 +31,19 @@ from dataclasses import dataclass
 from .polynomials import (
     BadPrime,
     IntPolynomial,
-    MAX_FACTOR_DEGREE,
-    PolynomialSyntaxError,
     cyclotomic_index,
     ddf_pattern,
     factor_over_Q,
     is_prime,
     parse_polynomial,
-    poly_gcd,
     primes_below,
-    squarefree_decomposition,
     squarefree_part,
 )
 
 __all__ = [
-    "BadPrime", "IntPolynomial", "MAX_FACTOR_DEGREE", "PolynomialSyntaxError",
-    "ddf_pattern", "factor_over_Q", "parse_polynomial", "poly_gcd",
-    "primes_below", "squarefree_decomposition", "squarefree_part",
     "NonsolvabilityCertificate", "SolvabilityVerdict", "solvability",
     "replay_certificate", "component_solvability",
-    "SOLVABLE", "NOT_SOLVABLE", "UNKNOWN",
+    "SOLVABLE", "NOT_SOLVABLE", "UNKNOWN", "MAX_PRIME_BUDGET",
 ]
 
 SOLVABLE = "solvable"
@@ -59,6 +52,10 @@ UNKNOWN = "unknown"
 
 RULE_PRIME_CYCLE = "large-prime-cycle"
 RULE_TRANSPOSITION = "transposition"
+
+# the largest prime budget: the witness scan sieves a bytearray of this
+# many bytes, and 10^6 already holds 78,498 primes
+MAX_PRIME_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -134,12 +131,16 @@ def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
     or is cyclotomic;
     "not_solvable" when some factor yields a certificate within the
     budget; "unknown" otherwise.  Raising the budget can only move
-    "unknown" to "not_solvable".
+    "unknown" to "not_solvable".  A budget above MAX_PRIME_BUDGET raises
+    ValueError.
 
     A caller that already knows the distinct irreducible factors of f,
     as `factor_over_Q` orders them, may pass them as `factors`; a dict
     passed as `witnesses` keeps each factor's witness search (its
     certificate or None) for later calls with the same budget."""
+    if prime_budget > MAX_PRIME_BUDGET:
+        raise ValueError(f"prime budget {prime_budget} is above the supported "
+                         f"bound {MAX_PRIME_BUDGET}")
     if f.is_zero:
         raise ValueError("the zero polynomial has no Galois group")
     if factors is None:

@@ -1,7 +1,9 @@
 """Quivers (directed multigraphs with optional vertex weights) and the
 structural analysis used to screen them: connectivity, integer
 eigen-weightings, exact characteristic polynomials, automorphism orbits,
-isomorphism testing, and affine ADE recognition.
+isomorphism testing, and affine ADE recognition.  Orbits and
+isomorphisms come from one search: colour refinement, individualisation,
+and a check of every returned map on every adjacency entry.
 
 Everything is exact.  An eigenspace is solved modulo primes, lifted by
 CRT and rational reconstruction, and kept only when A w = k w holds over
@@ -14,9 +16,11 @@ that every coefficient obeys.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from functools import cache
+from itertools import chain, compress, count
 from math import comb, gcd, lcm
 
 from .linalg import crt, nullspace_mod, rational_reconstruction
@@ -163,9 +167,9 @@ class _Partition:
         return a
 
     def union(self, a: int, b: int):
+        """Join the blocks of a and b; a block's root is its least vertex."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        self.parent[max(ra, rb)] = min(ra, rb)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as sorted tuples, sorted by first element (vertices
@@ -242,14 +246,8 @@ def _strictly_positive_combination(basis: list[list[Fraction]]):
     # already-assigned ones
     sol = [Fraction(0)] * m
     for var, lowers, uppers in reversed(eliminated):
-        lo_vals = []
-        for row in lowers:
-            rest = sum(row[j] * sol[j] for j in range(m) if j != var)
-            lo_vals.append(-rest / row[var])
-        up_vals = []
-        for row in uppers:
-            rest = sum(row[j] * sol[j] for j in range(m) if j != var)
-            up_vals.append(-rest / row[var])
+        lo_vals, up_vals = ([-sum(row[j] * sol[j] for j in range(m) if j != var) / row[var]
+                             for row in rows] for rows in (lowers, uppers))
         if lo_vals and up_vals:
             lo, up = max(lo_vals), min(up_vals)
             if not lo < up:
@@ -456,77 +454,87 @@ def char_poly(q: Quiver) -> IntPolynomial:
 # -- automorphisms and isomorphism ---------------------------------------------
 
 
-def _invariants(q: Quiver, use_weights: bool = True) -> list[tuple]:
-    n = q.n
-    A = q.adjacency
-    out = []
-    for v in range(n):
-        w = q.weights[v] if use_weights and q.weights is not None else 0
-        outs = tuple(sorted(A[v][j] for j in range(n) if j != v and A[v][j]))
-        ins = tuple(sorted(A[j][v] for j in range(n) if j != v and A[j][v]))
-        out.append((w, A[v][v], outs, ins))
-    return out
-
-
-def _extend_map(q1: Quiver, q2: Quiver, inv1, inv2, seed: dict[int, int]):
-    """Backtracking completion of a partial vertex map q1 -> q2 to an
-    isomorphism; returns the full map as a list, or None."""
-    n = q1.n
-    A, B = q1.adjacency, q2.adjacency
-    assigned = dict(seed)
-    used = set(assigned.values())
-    order = [v for v in range(n) if v not in assigned]
-
-    def consistent(v, t):
-        if inv1[v] != inv2[t]:
-            return False
-        if A[v][v] != B[t][t]:
-            return False
-        for u, s in assigned.items():
-            if A[v][u] != B[t][s] or A[u][v] != B[s][t]:
-                return False
-        return True
-
-    pos = 0
-    choice: list[list[int]] = []
+def _refine(g, colours) -> tuple[list[int], list]:
+    """Colour refinement to an equitable colouring, and its trace.  The
+    signature (colour, loop count, sorted (arrows, colour) pairs over the
+    out- and in-neighbours) is ranked among the sorted distinct ones, so
+    an isomorphism that keeps the old colours keeps the new ones.  The
+    trace holds each round's distinct signatures and sorted colours (so
+    cell sizes); rounds end when colours stop growing or all differ."""
+    nbrs, trace, size = g[1], [], len(set(colours))
     while True:
-        if pos == len(order):
-            full = [0] * n
-            for u, s in assigned.items():
-                full[u] = s
-            return full
-        if pos == len(choice):
-            v = order[pos]
-            choice.append([t for t in range(n)
-                           if t not in used and consistent(v, t)])
-        v = order[pos]
-        if choice[pos]:
-            t = choice[pos].pop(0)
-            assigned[v] = t
-            used.add(t)
-            pos += 1
-        else:
-            choice.pop()
-            if pos == 0:
-                return None
-            pos -= 1
-            v = order[pos]
-            used.discard(assigned.pop(v))
-    # unreachable
+        get = colours.__getitem__
+        sigs = [(c, loop, tuple(sorted(zip(arrows, map(get, ends)))))
+                for c, (loop, arrows, ends) in zip(colours, nbrs)]
+        distinct = sorted(set(sigs))
+        rank = {s: r for r, s in enumerate(distinct)}
+        colours = [rank[s] for s in sigs]
+        trace.append((distinct, sorted(colours)))
+        if len(distinct) in (size, len(nbrs)):
+            return colours, trace
+        size = len(distinct)
+
+
+def _individualise(g, colours: list[int], v: int):
+    """_refine with v alone in a new colour, above the refined ones."""
+    return _refine(g, [len(colours) if u == v else c for u, c in enumerate(colours)])
+
+
+def _search(g1, g2, c1: list[int], c2: list[int]):
+    """An isomorphism (a tuple) carrying the equitable colouring c1 of one
+    quiver onto c2 of another, of equal traces, or None.  The map sending
+    the k-th vertex of each colour to the k-th of that colour in the
+    other is returned if it preserves every arrow.  Else, unless all are
+    singletons, the first vertex v of the smallest cell of two or more
+    (the lowest colour among equals) is individualised, and each w of its
+    colour in the other in turn, recursing where the traces agree.  As
+    refinement commutes with isomorphism, the search is exact."""
+    (A, _), (B, _), n = g1, g2, len(c1)
+    order1, order2 = (sorted(range(n), key=c.__getitem__) for c in (c1, c2))
+    f = tuple(w for _, w in sorted(zip(order1, order2)))
+    if all(row == tuple(map(B[w].__getitem__, f)) for row, w in zip(A, f)):
+        return f
+    cell = min(((k, c) for c, k in Counter(c1).items() if k > 1), default=(0, None))[1]
+    if cell is None:
+        return None
+    d1, t1 = _individualise(g1, c1, c1.index(cell))
+    for w in order2:
+        if c2[w] == cell:
+            d2, t2 = _individualise(g2, c2, w)
+            if t2 == t1 and (f := _search(g1, g2, d1, d2)) is not None:
+                return f
+    return None
+
+
+def _start(q: Quiver, use_weights: bool = True):
+    """The graph `_refine` and `_search` read (the adjacency and, per
+    vertex, its loop count, arrow counts out and negated in, and their
+    ends, loops included), refined from the weights or from one colour."""
+    A, ends = q.adjacency, range(q.n)
+    g = A, [(row[v], list(compress(row, row)) + [-a for a in compress(col, col)],
+             list(compress(ends, row)) + list(compress(ends, col)))
+            for v, (row, col) in enumerate(zip(A, zip(*A)))]
+    return (g, *_refine(g, list(use_weights and q.weights or [0] * q.n)))
 
 
 def automorphism_orbits(q: Quiver) -> tuple[tuple[int, ...], ...]:
     """Vertex orbits of the automorphism group (adjacency- and
-    weight-preserving), as sorted tuples sorted by first vertex."""
-    n = q.n
-    inv = _invariants(q)
-    part = _Partition(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if part.find(i) == part.find(j) or inv[i] != inv[j]:
+    weight-preserving), as sorted tuples sorted by first vertex.  The
+    first vertex of each block is searched (`_search`) against each later
+    one of its refined colour (`_refine`) in another block whose
+    individualised trace is the same; every vertex of a map found,
+    checked on every adjacency entry, joins its image's block."""
+    g, base, _ = _start(q)
+    part = _Partition(q.n)
+    individual = cache(lambda v: _individualise(g, base, v))
+    for i in range(q.n):
+        if part.find(i) != i:
+            continue  # a block is a whole orbit once its first vertex is done
+        for j in range(i + 1, q.n):
+            if base[i] != base[j] or part.find(i) == part.find(j):
                 continue
-            full = _extend_map(q, q, inv, inv, {i: j})
-            if full is not None:
+            (ci, ti), (cj, tj) = individual(i), individual(j)
+            if ti == tj and (full := _search(g, g, ci, cj)) is not None:
                 for u, s in enumerate(full):
                     part.union(u, s)
     return part.blocks()
@@ -535,17 +543,14 @@ def automorphism_orbits(q: Quiver) -> tuple[tuple[int, ...], ...]:
 def find_isomorphism(q1: Quiver, q2: Quiver,
                      respect_weights: bool = True) -> tuple[int, ...] | None:
     """A vertex bijection carrying q1's arrows (and weights, when both
-    quivers have them and respect_weights is set) onto q2's, or None."""
-    if q1.n != q2.n:
+    quivers have them and respect_weights is set) onto q2's, or None:
+    unequal refinement traces rule it out, else `_search` decides and
+    returns only a map checked on every adjacency entry."""
+    if q1.n != q2.n or (respect_weights
+                        and (q1.weights is None) != (q2.weights is None)):
         return None
-    if respect_weights and (q1.weights is None) != (q2.weights is None):
-        return None
-    inv1 = _invariants(q1, respect_weights)
-    inv2 = _invariants(q2, respect_weights)
-    if sorted(inv1) != sorted(inv2):
-        return None
-    full = _extend_map(q1, q2, inv1, inv2, {})
-    return tuple(full) if full is not None else None
+    (g1, c1, t1), (g2, c2, t2) = _start(q1, respect_weights), _start(q2, respect_weights)
+    return _search(g1, g2, c1, c2) if t1 == t2 else None
 
 
 def quiver_isomorphic(q1: Quiver, q2: Quiver,
@@ -628,17 +633,12 @@ def to_dot(q: Quiver) -> str:
     A = q.adjacency
     for i in range(q.n):
         undirected, directed = divmod(A[i][i], 2)
-        for _ in range(undirected):
-            lines.append(f"  v{i} -> v{i} [dir=none];")
-        for _ in range(directed):
-            lines.append(f"  v{i} -> v{i};")
+        lines += [f"  v{i} -> v{i} [dir=none];"] * undirected
+        lines += [f"  v{i} -> v{i};"] * directed
         for j in range(i + 1, q.n):
             paired = min(A[i][j], A[j][i])
-            for _ in range(paired):
-                lines.append(f"  v{i} -> v{j} [dir=none];")
-            for _ in range(A[i][j] - paired):
-                lines.append(f"  v{i} -> v{j};")
-            for _ in range(A[j][i] - paired):
-                lines.append(f"  v{j} -> v{i};")
+            lines += [f"  v{i} -> v{j} [dir=none];"] * paired
+            lines += [f"  v{i} -> v{j};"] * (A[i][j] - paired)
+            lines += [f"  v{j} -> v{i};"] * (A[j][i] - paired)
     lines.append("}")
     return "\n".join(lines) + "\n"

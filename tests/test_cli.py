@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -376,3 +377,49 @@ def test_oversized_quiver_bound_is_the_vertex_count(capsys, tmp_path):
     path.write_text(json.dumps(q.induced(range(64)).to_json()))
     code, _, err = run(capsys, "check-mckay", str(path))
     assert code == 1 and err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-mckay"])
+def test_prime_budget_above_the_bound_exits_2(bd12_quiver_file, command):
+    proc = run_process(command, bd12_quiver_file, "--prime-budget", "1000001")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("error: prime budget 1000001 is above the "
+                           "supported bound 1000000\n")
+
+
+def random_regular(n: int, d: int, seed: int) -> list[list[int]]:
+    """A d-regular simple graph on n vertices by the pairing model: the
+    n*d half-edges are shuffled and paired off, and the draw is repeated
+    until no pair is a loop or a second edge."""
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(ends)
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])}
+        if len(pairs) == n * d // 2 and all(a != b for a, b in pairs):
+            adj = [[0] * n for _ in range(n)]
+            for a, b in pairs:
+                adj[a][b] = adj[b][a] = 1
+            return adj
+
+
+@pytest.mark.parametrize("n, d", [(24, 3), (64, 3), (64, 4)])
+def test_random_regular_quiver_is_obstructed_fast(tmp_path, n, d):
+    """Every vertex of a regular graph has the same local invariants, and
+    all weights are 1; on these graphs individualising one vertex tells
+    all vertices apart, so the weight-one-orbit test fails at once."""
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(n)],
+                                "adjacency": random_regular(n, d, seed=0)}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process("check-mckay", str(path), "--format", "json")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 1 and proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "obstructed"
+    status = {t["name"]: t["status"] for t in report["tests"]}
+    assert status["reduced-weighting"] == "pass"
+    assert status["weight-one-orbit"] == "fail"
+    assert cpu < 10.0, cpu

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from mckayq.galois import (
+    MAX_PRIME_BUDGET,
     NOT_SOLVABLE,
     RULE_PRIME_CYCLE,
     RULE_TRANSPOSITION,
@@ -117,6 +118,14 @@ def test_budget_monotonicity():
 
     with pytest.raises(ValueError):
         solvability(IntPolynomial.zero())
+
+
+def test_prime_budget_is_bounded():
+    # refused before any sieve is built, whatever the factors' degrees
+    for f in (QUINTIC, parse_polynomial("x^2+1")):
+        with pytest.raises(ValueError, match="above the supported bound"):
+            solvability(f, prime_budget=MAX_PRIME_BUDGET + 1)
+    assert MAX_PRIME_BUDGET == 10 ** 6
 
 
 def test_verdict_json_shape():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckayq import quiver
-from mckayq.catalog import catalog_specs, parse_group_spec
+from mckayq.catalog import catalog_specs, natural_rep, parse_group_spec, regular_rep
 from mckayq.linalg import nullspace_mod, rational_reconstruction
 from mckayq.mckay import McKayQuiver, mckay_matrix
 from mckayq.polynomials import IntPolynomial, factor_over_Q, is_prime, parse_polynomial
@@ -463,18 +463,33 @@ def relabel(q, perm):
     return Quiver([f"u{i}" for i in range(n)], adj, w)
 
 
+# weights in 1..3, cut to the vertex count, or none
+weights_strategy = st.one_of(st.none(), st.lists(st.integers(1, 3), min_size=8, max_size=8))
+
+
+def mk_weighted(adj, weights):
+    return mk(adj, None if weights is None else weights[:len(adj)])
+
+
+def is_isomorphism(q1, q2, f, respect_weights=True):
+    n = q1.n
+    return (sorted(f) == list(range(n))
+            and all(q1.adjacency[i][j] == q2.adjacency[f[i]][f[j]]
+                    for i in range(n) for j in range(n))
+            and (not respect_weights or q1.weights is None
+                 or all(q1.weights[i] == q2.weights[f[i]] for i in range(n))))
+
+
 @settings(max_examples=40, deadline=None)
-@given(adjacency_strategy, st.randoms(use_true_random=False))
-def test_isomorphism_under_relabeling(adj, rng):
-    q = mk(adj)
+@given(adjacency_strategy, weights_strategy, st.randoms(use_true_random=False))
+def test_isomorphism_under_relabeling(adj, weights, rng):
+    q = mk_weighted(adj, weights)
     perm = list(range(q.n))
     rng.shuffle(perm)
     r = relabel(q, perm)
     f = find_isomorphism(q, r)
     assert f is not None
-    for i in range(q.n):
-        for j in range(q.n):
-            assert q.adjacency[i][j] == r.adjacency[f[i]][f[j]]
+    assert is_isomorphism(q, r, f)
 
 
 def test_isomorphism_frozen_cases():
@@ -491,6 +506,13 @@ def test_isomorphism_frozen_cases():
     assert find_isomorphism(a, b) == (1, 0)
     assert find_isomorphism(a, c) is None
     assert quiver_isomorphic(a, c, respect_weights=False)
+
+    # the same distinct weights in other numbers: the arrows give the
+    # map nothing to check, so only the cell sizes tell these apart
+    empty = [[0] * 3 for _ in range(3)]
+    assert find_isomorphism(mk(empty, [1, 1, 2]), mk(empty, [1, 2, 2])) is None
+    q, r = mk(empty, [1, 1, 2]), mk(empty, [2, 1, 1])
+    assert is_isomorphism(q, r, find_isomorphism(q, r))
 
 
 def test_automorphism_orbits():
@@ -511,9 +533,9 @@ def test_automorphism_orbits():
 
 
 @settings(max_examples=30, deadline=None)
-@given(adjacency_strategy, st.randoms(use_true_random=False))
-def test_orbits_invariant_under_relabeling(adj, rng):
-    q = mk(adj)
+@given(adjacency_strategy, weights_strategy, st.randoms(use_true_random=False))
+def test_orbits_invariant_under_relabeling(adj, weights, rng):
+    q = mk_weighted(adj, weights)
     perm = list(range(q.n))
     rng.shuffle(perm)
     r = relabel(q, perm)
@@ -522,6 +544,161 @@ def test_orbits_invariant_under_relabeling(adj, rng):
     inv = {perm[i]: i for i in range(q.n)}
     mapped = tuple(sorted(tuple(sorted(inv[v] for v in orb)) for orb in orig))
     assert tuple(sorted(moved)) == mapped
+
+
+# -- the backtracking search that the refinement search replaced, as an
+# oracle: every pair of vertices with equal local invariants is tried
+
+def oracle_invariants(q, use_weights=True):
+    A = q.adjacency
+    out = []
+    for v in range(q.n):
+        w = q.weights[v] if use_weights and q.weights is not None else 0
+        outs = tuple(sorted(a for j, a in enumerate(A[v]) if j != v and a))
+        ins = tuple(sorted(A[j][v] for j in range(q.n) if j != v and A[j][v]))
+        out.append((w, A[v][v], outs, ins))
+    return out
+
+
+def oracle_extend(q1, q2, inv1, inv2, seed):
+    """Backtracking completion of the partial map `seed` to an
+    isomorphism q1 -> q2, as a list, or None."""
+    n = q1.n
+    A, B = q1.adjacency, q2.adjacency
+    assigned = dict(seed)
+    used = set(assigned.values())
+    order = [v for v in range(n) if v not in assigned]
+
+    def consistent(v, t):
+        return (inv1[v] == inv2[t] and A[v][v] == B[t][t]
+                and all(A[v][u] == B[t][s] and A[u][v] == B[s][t]
+                        for u, s in assigned.items()))
+
+    pos, choice = 0, []
+    while True:
+        if pos == len(order):
+            return [assigned[v] for v in range(n)]
+        v = order[pos]
+        if pos == len(choice):
+            choice.append([t for t in range(n) if t not in used and consistent(v, t)])
+        if choice[pos]:
+            t = choice[pos].pop(0)
+            assigned[v] = t
+            used.add(t)
+            pos += 1
+        else:
+            choice.pop()
+            if pos == 0:
+                return None
+            pos -= 1
+            used.discard(assigned.pop(order[pos]))
+
+
+def oracle_orbits(q):
+    inv = oracle_invariants(q)
+    part = quiver._Partition(q.n)
+    for i in range(q.n):
+        for j in range(i + 1, q.n):
+            if part.find(i) == part.find(j) or inv[i] != inv[j]:
+                continue
+            full = oracle_extend(q, q, inv, inv, {i: j})
+            if full is not None:
+                for u, s in enumerate(full):
+                    part.union(u, s)
+    return part.blocks()
+
+
+def oracle_isomorphic(q1, q2, respect_weights=True):
+    if q1.n != q2.n:
+        return False
+    if respect_weights and (q1.weights is None) != (q2.weights is None):
+        return False
+    inv1 = oracle_invariants(q1, respect_weights)
+    inv2 = oracle_invariants(q2, respect_weights)
+    return (sorted(inv1) == sorted(inv2)
+            and oracle_extend(q1, q2, inv1, inv2, {}) is not None)
+
+
+ORBIT_SPECS = tuple(catalog_specs(48)) + ("2I", "C:2xBD:24", "BD:124", "C:64", "C:2x2I")
+
+
+def test_orbits_match_backtracking_on_catalog_quivers():
+    """The natural and regular quivers of 132 tables, weighted by the
+    irreducible degrees as the battery weights them."""
+    checked = 0
+    for spec in ORBIT_SPECS:
+        t = parse_group_spec(spec)
+        for rep in (natural_rep(t), regular_rep(t)):
+            q = McKayQuiver(t, rep).to_quiver()
+            w = Quiver(q.vertices, q.adjacency, t.dims)
+            assert automorphism_orbits(w) == oracle_orbits(w), (spec, rep)
+            checked += 1
+    assert checked == 132
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(adjacency_strategy,
+                 sparse_adjacency_strategy.filter(lambda a: len(a) <= 8)),
+       weights_strategy, st.randoms(use_true_random=False))
+def test_search_matches_backtracking(adj, weights, rng):
+    q = mk_weighted(adj, weights)
+    assert automorphism_orbits(q) == oracle_orbits(q)
+    perm = list(range(q.n))
+    rng.shuffle(perm)
+    # a relabelled copy, one arrow changed, and fresh weights
+    r = relabel(q, perm)
+    i, j = rng.randrange(q.n), rng.randrange(q.n)
+    bumped = [list(row) for row in r.adjacency]
+    bumped[i][j] = (bumped[i][j] + 1) % 3
+    reweighted = None if q.weights is None else [rng.randint(1, 3) for _ in range(q.n)]
+    for other in (r, mk(bumped, r.weights), mk(r.adjacency, reweighted)):
+        for respect in (True, False):
+            f = find_isomorphism(q, other, respect)
+            assert (f is not None) == oracle_isomorphic(q, other, respect)
+            assert f is None or is_isomorphism(q, other, f, respect)
+
+
+def cayley_z4xz4(steps):
+    """The Cayley graph of Z4 x Z4 with the given symmetric steps."""
+    vs = [(a, b) for a in range(4) for b in range(4)]
+    return [[int(((c - a) % 4, (d - b) % 4) in steps) for c, d in vs] for a, b in vs]
+
+
+SHRIKHANDE = cayley_z4xz4({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+ROOK_4X4 = cayley_z4xz4({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+
+
+def test_refinement_equivalent_quivers_are_told_apart():
+    """Colour refinement sees no difference inside these pairs: every
+    vertex looks alike, also after one vertex is individualised in each
+    strongly regular graph (both srg(16, 6, 2, 2)).  Only the checked
+    map and the search below it decide."""
+    triangles = sym([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6)
+    hexagon = cycle_adj(6)
+    assert find_isomorphism(mk(triangles), mk(hexagon)) is None
+    assert automorphism_orbits(mk(triangles)) == (tuple(range(6)),)
+
+    assert find_isomorphism(mk(SHRIKHANDE), mk(ROOK_4X4)) is None
+    union = [row + [0] * 16 for row in SHRIKHANDE] + [[0] * 16 + row for row in ROOK_4X4]
+    start = time.process_time()
+    assert automorphism_orbits(mk(union)) == (tuple(range(16)), tuple(range(16, 32)))
+    cpu = time.process_time() - start
+    assert cpu < 5.0, cpu
+
+
+def test_bd252_natural_orbits_are_fast():
+    """66 vertices, where the backtracking took about 20 s: the
+    weight-1 vertices (the linear characters) form one orbit."""
+    t = parse_group_spec("BD:252")
+    q = McKayQuiver(t, natural_rep(t)).to_quiver()
+    w = Quiver(q.vertices, q.adjacency, t.dims)
+    start = time.process_time()
+    orbits = automorphism_orbits(w)
+    cpu = time.process_time() - start
+    assert q.n == 66
+    ones = tuple(v for v in range(q.n) if t.dims[v] == 1)
+    assert len(ones) == 4 and ones in orbits
+    assert cpu < 5.0, cpu
 
 
 # -- ADE recognition ----------------------------------------------------------------
