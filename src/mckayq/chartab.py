@@ -238,8 +238,12 @@ class _TableEngine(_Field):
     """Q(zeta_E) with one table's rows (`vals`, `conj_vals`, `coords`),
     their image mod `modulus` (`row_images`, `image_rows`), the one
     route to recognise a row, and per-table results shared by `mckay`:
-    `product_cache`, the McKay matrix of each irreducible, and
-    `dual_action`.  `units[j]` is the multiplicity vector of row j."""
+    `product_cache`, the McKay matrix of each irreducible, `dual_action`
+    and `column_orbits`.  `units[j]` is the multiplicity vector of row j.
+
+    Each distinct value object (catalog and JSON tables share them) is
+    converted once, keyed by identity, so cells with one value share one
+    dict and one tuple; nothing mutates a dict of `vals` or `conj_vals`."""
 
     def __init__(self, table: CharacterTable):
         super().__init__(_common_conductor(table.characters))
@@ -247,16 +251,18 @@ class _TableEngine(_Field):
         roots = {x: (e, 1) for e, x in enumerate(self.red)}
         if self.exponent % 2:  # for even E, -zeta^e is a power of zeta
             roots.update({tuple(-c for c in x): (e, -1) for e, x in enumerate(self.red)})
-        self.vals, self.coords = [], []
-        for row in table.characters:
-            dicts = [v.terms(self.exponent) for v in row]
-            self.coords.append([self.reduce_dict(d) for d in dicts])
-            self.vals.append([dict((roots[x],)) if len(d) > 1 and x in roots else d
-                              for d, x in zip(dicts, self.coords[-1])])
-        self.conj_vals = [[self.galois(d, -1) for d in row] for row in self.vals]
-        self.den = math.lcm(*(c.denominator for row in self.vals for d in row
-                              for c in d.values()))  # D
-        self.norm = max(sum(map(abs, d.values())) for row in self.vals for d in row)
+        forms = {}  # id(value) -> (exponent dict, coordinates, conjugate)
+        for v in (v for row in table.characters for v in row):
+            if id(v) not in forms:
+                d = v.terms(self.exponent)
+                x = self.reduce_dict(d)
+                d = dict((roots[x],)) if len(d) > 1 and x in roots else d
+                forms[id(v)] = (d, x, self.galois(d, -1))
+        self.vals, self.coords, self.conj_vals = (
+            [[forms[id(v)][k] for v in row] for row in table.characters] for k in range(3))
+        dicts = [d for d, _, _ in forms.values()]
+        self.den = math.lcm(*(c.denominator for d in dicts for c in d.values()))  # D
+        self.norm = max(sum(map(abs, d.values())) for d in dicts)
         self.modulus = 1
         self.product_cache: dict[int, tuple] = {}
         self.dual_action: dict[int, tuple[int, ...]] | None = None
@@ -265,6 +271,24 @@ class _TableEngine(_Field):
     def units(self) -> tuple:
         r = len(self.vals)
         return tuple(tuple(int(i == j) for i in range(r)) for j in range(r))
+
+    @cached_property
+    def column_orbits(self) -> tuple:
+        """Classes grouped by the exact relation "column c' = sigma_a(column
+        c)", a in (Z/E)^*, least class first.  A column with all exponents
+        multiples of E/m lies in Q(zeta_m): sigma_a depends on a mod m."""
+        E, orbits, done = self.exponent, [], set()
+        first = {col: c for c, col in reversed(list(enumerate(zip(*self.coords))))}
+        for c, column in enumerate(zip(*self.vals)):
+            if c not in done:
+                m = E // math.gcd(E, *(e for d in column for e in d))
+                units = {a % m: a for a in range(1, E + 1) if math.gcd(a, E) == 1}
+                orbit = {c} | {first.get(tuple(self.reduce_dict(self.galois(d, a)) for d in column))
+                               for a in units.values()}
+                orbit = tuple(sorted(orbit - done - {None}))
+                done.update(orbit)
+                orbits.append(orbit)
+        return tuple(orbits)
 
     def row_of(self, dicts) -> int | None:
         """Index of the row with these values (exponent dicts), or None."""
@@ -523,32 +547,17 @@ def verify_table(t: CharacterTable) -> VerificationReport:
         "class-sizes", total == t.order,
         f"sizes sum to {total}, order is {t.order}"))
 
-    bad = None
-    for i in range(r):
-        for j in range(i, r):
-            coords = eng.row_inner(eng.vals[i], eng.conj_vals[j])
-            want = t.order if i == j else 0
-            q = eng.rational_of_coords(coords)
-            if q is None or q != want:
-                bad = (i, j)
-                break
-        if bad:
-            break
+    bad = next(((i, j) for i in range(r) for j in range(i, r)
+                if eng.rational_of_coords(eng.row_inner(eng.vals[i], eng.conj_vals[j]))
+                != (t.order if i == j else 0)), None)
     checks.append(CheckOutcome(
         "row-orthogonality", bad is None,
         "" if bad is None else f"<chi{bad[0] + 1}, chi{bad[1] + 1}> is off"))
 
-    bad = None
     cols, conj_cols = list(zip(*eng.vals)), list(zip(*eng.conj_vals))
-    for c in range(r):
-        for c2 in range(c, r):
-            q = eng.rational_of_coords(eng.dot([1] * r, cols[c], conj_cols[c2]))
-            want = Fraction(t.order, t.classes[c].size) if c == c2 else Fraction(0)
-            if q is None or q != want:
-                bad = (c, c2)
-                break
-        if bad:
-            break
+    bad = next(((c, c2) for c in range(r) for c2 in range(c, r)
+                if eng.rational_of_coords(eng.dot([1] * r, cols[c], conj_cols[c2]))
+                != (Fraction(t.order, t.classes[c].size) if c == c2 else 0)), None)
     checks.append(CheckOutcome(
         "column-orthogonality", bad is None,
         "" if bad is None else (

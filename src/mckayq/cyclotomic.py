@@ -81,20 +81,31 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _sparse_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e >= phi(n) is the nonzero (index, value) pairs of
+    _reduction_rows(n)[e]; the rows below, basis vectors, are left empty."""
+    phi = euler_phi(n)
+    return ((),) * phi + tuple(tuple((t, x) for t, x in enumerate(row) if x)
+                               for row in _reduction_rows(n)[phi:])
+
+
 class _Field:
     """Q(zeta_n) in exponent form: the arithmetic kernel of the library.
 
     A dict {e: c} with 0 <= e < n stands for sum c * zeta_n^e.  `mul`,
     `galois`, `combo` and `dot` work on exponents and never reduce;
     `reduce_dict` turns a dict, or a dense list indexed by exponent, into
-    power-basis coordinates mod Phi_n.  Coefficients may be int or
-    Fraction.
+    power-basis coordinates mod Phi_n, through the nonzero entries of each
+    reduction row (`sparse`); the dense rows (`red`) are what its one-term
+    fast path returns.  Coefficients may be int or Fraction.
     """
 
     def __init__(self, n: int):
         self.exponent = n
         self.phi = euler_phi(n)
         self.red = _reduction_rows(n)
+        self.sparse = _sparse_rows(n)
 
     def mul(self, d1: dict, d2: dict) -> dict:
         n = self.exponent
@@ -149,7 +160,7 @@ class _Field:
             d = d.items()
         else:
             d = enumerate(d)
-        phi = self.phi
+        phi, sparse = self.phi, self.sparse
         out = [0] * phi
         for e, c in d:
             if not c:
@@ -158,10 +169,8 @@ class _Field:
                 # zeta^e is itself a basis vector
                 out[e] += c
                 continue
-            row = red[e]
-            for t in range(phi):
-                if row[t]:
-                    out[t] += c * row[t]
+            for t, x in sparse[e]:
+                out[t] += c * x
         return tuple(out)
 
 

@@ -122,6 +122,7 @@ class McKayQuiver:
         eng = table._engine()
         self._rho_dicts = eng.rep_dicts(self.rho)
         self._rho_coords = [eng.reduce_dict(d) for d in self._rho_dicts]
+        self._quiver = (None, None)  # (matrix, its Quiver)
 
     @property
     def n_vertices(self) -> int:
@@ -148,8 +149,11 @@ class McKayQuiver:
         return self.kernel_class_indices() == (0,)
 
     def to_quiver(self) -> Quiver:
-        return Quiver(self.table.row_names(), self.matrix,
-                      weights=self.table.dims)
+        """The quiver, built once per matrix and shared: Quiver is immutable."""
+        if self._quiver[0] is not self.matrix:
+            self._quiver = (self.matrix, Quiver(
+                self.table.row_names(), self.matrix, weights=self.table.dims))
+        return self._quiver[1]
 
     def __repr__(self):
         return (f"<McKayQuiver of {self.table.name}: dim {self.dim}, "
@@ -164,13 +168,19 @@ def eigen_check(mq: McKayQuiver) -> bool:
 
     For every class c the vector of column values (chi_i(c))_i must
     satisfy A v = chi_rho(c) v; the check is exact and independent of
-    how the matrix was assembled.
+    how the matrix was assembled.  It is made at the first class of each
+    group of `_TableEngine.column_orbits`: if column c' is sigma_a(column
+    c), sigma_a fixes the integer A and sends chi_rho(c) to chi_rho(c'),
+    so the equation at c gives the one at c'.  The left side is
+    sum_j A_ij coords_j(c), as reduction is linear.
     """
     eng = mq.table._engine()
-    for column, rho_d in zip(zip(*eng.vals), mq._rho_dicts):
-        for row, value in zip(mq.matrix, column):
-            if (eng.reduce_dict(eng.combo(row, column))
-                    != eng.reduce_dict(eng.mul(rho_d, value))):
+    for c, *_ in eng.column_orbits:
+        col = [co[c] for co in eng.coords]
+        for row, vals in zip(mq.matrix, eng.vals):
+            terms = [[a * v for v in x] for a, x in zip(row, col) if a]
+            if (tuple(map(sum, zip((0,) * eng.phi, *terms)))
+                    != eng.reduce_dict(eng.mul(mq._rho_dicts[c], vals[c]))):
                 return False
     return True
 
@@ -328,14 +338,17 @@ def dual_group_action(t: CharacterTable) -> dict[int, tuple[int, ...]]:
     irreducibles; the result maps each one-dimensional row index to its
     permutation.  A product that fails to land on a row means the table
     is internally inconsistent.  The action is computed once per table,
-    kept on the table engine, and returned as a copy.
+    kept on the table engine, and returned as a copy.  Only a row l not
+    yet reached is multiplied out (`product_rows`); each row m reached
+    before gives row perm_l[m], exactly chi_l * chi_m, which acts by
+    perm_l o pi_m (products are associative) and so passes both checks.
     """
     eng = t._engine()
     if eng.dual_action is None:
-        r = t.n_classes
+        r, dims = t.n_classes, t.dims
         action: dict[int, tuple[int, ...]] = {}
         for l in range(r):
-            if t.dims[l] != 1:
+            if dims[l] != 1 or l in action:
                 continue
             perm = tuple(eng.product_rows(eng.vals[l]))
             if None in perm:
@@ -345,7 +358,12 @@ def dual_group_action(t: CharacterTable) -> dict[int, tuple[int, ...]]:
                 raise InternalInconsistency(
                     f"row {l + 1} of {t.name} does not act by a permutation")
             action[l] = perm
-        eng.dual_action = action
+            known = list(action)
+            for m in known:  # grows as rows are reached
+                if perm[m] not in action:
+                    action[perm[m]] = tuple(perm[i] for i in action[m])
+                    known.append(perm[m])
+        eng.dual_action = dict(sorted(action.items()))
     return dict(eng.dual_action)
 
 

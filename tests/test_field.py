@@ -8,9 +8,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mckayq.cyclotomic import _Field, _reduction_rows, euler_phi
+from mckayq.cyclotomic import _Field, _reduction_rows, _sparse_rows, euler_phi
 
-CONDUCTORS = [1, 3, 4, 7, 12, 15, 60]
+CONDUCTORS = [1, 3, 4, 7, 12, 15, 48, 60, 64]
 
 coefficients = st.one_of(
     st.integers(-5, 5),
@@ -70,6 +70,14 @@ def test_reduce_dict_matches_reduction_rows(case):
     for e, c in d.items():
         dense[e] = c
     assert F.reduce_dict(dense) == want
+
+
+def test_sparse_rows_are_the_nonzero_entries_at_and_above_phi():
+    for n in range(1, 129):
+        phi, rows = euler_phi(n), _sparse_rows(n)
+        assert rows[:phi] == ((),) * phi and len(rows) == n
+        for e in range(phi, n):
+            assert rows[e] == tuple((t, x) for t, x in enumerate(_reduction_rows(n)[e]) if x)
 
 
 def test_reduce_dict_monomial_returns_the_cached_row():

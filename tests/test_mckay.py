@@ -1,16 +1,20 @@
 """Multiplication-by-rho matrices: frozen small cases, eigen identities,
 component structure, walk counts, and the inner-product oracle route."""
 
+import math
+
 import pytest
 
+from mckayq import quiver
 from mckayq.catalog import (
     binary_tetrahedral_table,
+    catalog_specs,
     cyclic_table,
     natural_rep,
     parse_group_spec,
     regular_rep,
 )
-from mckayq.chartab import ClassFunction, inner_product
+from mckayq.chartab import CharacterTable, ClassFunction, inner_product
 from mckayq.cyclotomic import Cyclotomic
 from mckayq.mckay import (
     InternalInconsistency,
@@ -224,6 +228,94 @@ def test_eigen_check_rejects_a_raised_entry(spec):
                 rows[i][j] += 1
                 m.matrix = tuple(tuple(row) for row in rows)
                 assert not eigen_check(m), (spec, rho, i, j)
+
+
+# -- eigen_check on one class per Galois orbit -----------------------------------------
+
+
+def brute_column_orbits(t):
+    """Classes grouped by "column c' is sigma_a(column c)" for every a in
+    (Z/E)^*, on Cyclotomic objects, each group led by its least class."""
+    E = t._engine().exponent
+    cols = list(zip(*t.characters))
+    index = {col: c for c, col in reversed(list(enumerate(cols)))}
+    images = {}
+
+    def image(v, a):
+        if (v, a) not in images:
+            images[v, a] = v.galois(a)
+        return images[v, a]
+
+    orbits, done = [], set()
+    for c, col in enumerate(cols):
+        if c in done:
+            continue
+        orbit = {index.get(tuple(image(v, a) for v in col))
+                 for a in range(1, E + 1) if math.gcd(a, E) == 1} - {None}
+        assert c in orbit and not orbit & done  # an equivalence on a genuine table
+        done |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("spec", catalog_specs(48))
+def test_column_orbits_match_every_galois_automorphism(spec):
+    t = parse_group_spec(spec)
+    assert t._engine().column_orbits == brute_column_orbits(t)
+
+
+def failing_classes(m):
+    """Classes where sum_j A_ij chi_j(c) != chi_rho(c) chi_i(c) for some
+    i, on Cyclotomic objects."""
+    chi, r = m.table.characters, m.n_vertices
+    zero = Cyclotomic.zero()
+    out = []
+    for c in range(r):
+        rho_c = sum((k * chi[j][c] for j, k in enumerate(m.rho) if k), zero)
+        if any(sum((a * chi[j][c] for j, a in enumerate(m.matrix[i]) if a), zero)
+               != rho_c * chi[i][c] for i in range(r)):
+            out.append(c)
+    return out
+
+
+def test_a_tampered_class_is_checked_not_assumed():
+    # C:5's classes 2..5 are one Galois orbit.  Raising chi2 at class 5 by
+    # 1 leaves classes 2..4 related and class 5 the image of none of them.
+    t = cyclic_table(5)
+    rows = [list(row) for row in t.characters]
+    rows[1][4] = rows[1][4] + 1
+    bad = CharacterTable("C5-tampered", 5, t.classes, rows)
+    assert t._engine().column_orbits == ((0,), (1, 2, 3, 4))
+    assert bad._engine().column_orbits == ((0,), (1, 2, 3), (4,))
+    rho = (0, 1, 0, 0, 0)
+    m = McKayQuiver(t, rho)
+    assert eigen_check(m) and failing_classes(m) == []
+    # C:5's matrix against the tampered columns fails at class 5 alone
+    m.table, m._rho_dicts = bad, bad._engine().rep_dicts(rho)
+    assert failing_classes(m) == [4]
+    assert not eigen_check(m)
+
+
+# -- the quiver of a McKayQuiver, built once ---------------------------------------------
+
+
+def test_to_quiver_is_built_once_per_matrix(monkeypatch):
+    built = []
+    orig = quiver.Quiver.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        orig(self, *args, **kwargs)
+    monkeypatch.setattr(quiver.Quiver, "__init__", counting)
+    t = parse_group_spec("BD:12")
+    m = McKayQuiver(t, natural_rep(t))
+    q = m.to_quiver()
+    assert component_partition(m) == ((0, 1, 2, 3, 4, 5),)
+    assert m.to_quiver() is q and len(built) == 1
+    assert q.adjacency == m.matrix and q.weights == t.dims
+    # a new matrix gets a new quiver
+    m.matrix = mckay_matrix(t, (0, 0, 0, 0, 1, 0))
+    assert m.to_quiver().adjacency == m.matrix and len(built) == 2
 
 
 # -- the one-dimensional rows as a permutation action ---------------------------------

@@ -270,6 +270,64 @@ def test_dual_action_is_computed_once(monkeypatch):
     assert sorted(again) == [0, 1, 2, 3] and steps == []
 
 
+def per_row_action(t):
+    """The dual action by one `product_rows` call per one-dimensional row,
+    with the checks and messages of `dual_group_action`."""
+    eng, r = t._engine(), t.n_classes
+    action = {}
+    for l in range(r):
+        if t.dims[l] == 1:
+            perm = tuple(eng.product_rows(eng.vals[l]))
+            if None in perm:
+                raise InternalInconsistency(
+                    f"row {l + 1} * row {perm.index(None) + 1} is not a row of {t.name}")
+            if len(set(perm)) != r:
+                raise InternalInconsistency(
+                    f"row {l + 1} of {t.name} does not act by a permutation")
+            action[l] = perm
+    return action
+
+
+@pytest.mark.parametrize(
+    "spec", catalog_specs(48) + ["2I", "C:2xBD:24", "BD:124", "C:64", "C:2x2I"])
+def test_composed_dual_action_matches_per_row_products(monkeypatch, spec):
+    t = parse_group_spec(spec)
+    steps = _counting(monkeypatch, chartab._TableEngine, "product_rows")
+    action = dual_group_action(t)
+    assert list(action) == sorted(action)
+    assert len(steps) <= len(action)
+    if spec.startswith("C:") and "x" not in spec:
+        # the trivial row, then row 2 generates the rest
+        assert len(steps) == min(2, t.n_classes)
+    assert action == per_row_action(t)
+
+
+def _duplicated_c2():
+    """C:2 with its sign row replaced by the trivial row: row 1 sends both
+    rows to row 1, which is no permutation."""
+    t = cyclic_table(2)
+    return chartab.CharacterTable("C2-twice", 2, t.classes, [t.characters[0]] * 2)
+
+
+def _tampered_c2xc2():
+    """C:2xC:2 with row 3 replaced by b = (1, 1, 1, E(4)) and row 4 by
+    row 2 times b: row 2 acts, and row 3 * row 3 is no row."""
+    t = parse_group_spec("C:2xC:2")
+    a, b = t.characters[1], (1, 1, 1, E(4))
+    assert [v.to_int() for v in a].count(-1) == 2  # so b * b is no row
+    rows = [t.characters[0], a, b, [x * y for x, y in zip(a, b)]]
+    return chartab.CharacterTable("C2xC2-tampered", 4, t.classes, rows)
+
+
+@pytest.mark.parametrize("make", [
+    _duplicated_c2, _tampered_c2xc2,
+    lambda: _table_with_denominator(2), lambda: _table_with_denominator(7)])
+def test_a_hostile_dual_action_fails_as_row_by_row(make):
+    composed = _outcome(dual_group_action, make())
+    assert composed == _outcome(per_row_action, make())
+    assert composed[0] is InternalInconsistency
+
+
 # -- products recognised on the modular image --------------------------------------------
 
 
