@@ -21,8 +21,8 @@ from .cyclotomic import MAX_CONDUCTOR, Cyclotomic, E
 
 
 # Largest group order a spec may name.  Table builds grow about as the
-# cube of the order: on a 2-vCPU host, `mckayq table C:256` takes 4.9 s,
-# C:4xC:64 7.5 s (130 MB) and BD:508 24 s.
+# cube of the order: on a 2-vCPU host, `mckayq table C:256` takes 1.5 s
+# and 31 MB, C:4xC:64 1.1 s and 29 MB, and BD:508 (in-process) 8.5 s.
 MAX_GROUP_ORDER = 256
 
 

@@ -143,11 +143,10 @@ class CharacterTable:
 
 
 def _as_cyclotomic(v) -> Cyclotomic:
-    if isinstance(v, Cyclotomic):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Cyclotomic.from_rational(v)
-    raise TypeError(f"not a cyclotomic value: {v!r}")
+    c = Cyclotomic._coerce(v)
+    if c is NotImplemented:
+        raise TypeError(f"not a cyclotomic value: {v!r}")
+    return c
 
 
 class ClassFunction:
@@ -386,14 +385,17 @@ class _TableEngine(_Field):
 # -- operations --------------------------------------------------------------
 
 
+def _class_average(t: CharacterTable, values) -> Cyclotomic:
+    total = Cyclotomic.zero()
+    for size, v in zip(t.class_sizes, values):
+        total = total + size * v
+    return total * Fraction(1, t.order)
+
+
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """(1/|G|) sum over classes of size * f * conj(g)."""
     f._same(g)
-    t = f.table
-    total = Cyclotomic.zero()
-    for c in range(t.n_classes):
-        total = total + t.classes[c].size * f[c] * g[c].conjugate()
-    return total * Fraction(1, t.order)
+    return _class_average(f.table, (a * b.conjugate() for a, b in zip(f.values, g.values)))
 
 
 def decompose(f: ClassFunction) -> tuple[int, ...]:
@@ -429,11 +431,7 @@ def dual(f: ClassFunction) -> ClassFunction:
 
 def fs_indicator(f: ClassFunction) -> Fraction:
     """Frobenius-Schur indicator (1/|G|) sum size(c) * f(c^2)."""
-    t = f.table
-    total = Cyclotomic.zero()
-    for c in range(t.n_classes):
-        total = total + t.classes[c].size * f[t.classes[c].power2]
-    return (total * Fraction(1, t.order)).to_rational()
+    return _class_average(f.table, (f[c.power2] for c in f.table.classes)).to_rational()
 
 
 def is_symplectic(multiplicities, t: CharacterTable) -> bool:

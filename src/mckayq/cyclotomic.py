@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .polynomials import cyclotomic_polynomial, prime_factors
+from .polynomials import _terms_text, cyclotomic_polynomial, prime_factors
 
 # Largest conductor the parser accepts, for E(n) and for the value as a
 # whole.  Arithmetic in Q(zeta_n) keeps n x phi(n) reduction rows: at the
@@ -328,13 +328,17 @@ class Cyclotomic:
         return {k * step: c.numerator if c.denominator == 1 else c
                 for k, c in enumerate(self.coeffs) if c}
 
-    def __add__(self, other):
+    def _plus(self, other, w: int):
+        """self + w * other: one combo and one descent, for w = 1 or -1."""
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = math.lcm(self.conductor, other.conductor)
         F = _Field(n)
-        return Cyclotomic(n, F.reduce_dict(F.combo((1, 1), (self.terms(n), other.terms(n)))))
+        return Cyclotomic(n, F.reduce_dict(F.combo((1, w), (self.terms(n), other.terms(n)))))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -342,10 +346,7 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -436,25 +437,7 @@ class Cyclotomic:
         return not self.is_zero
 
     def __str__(self):
-        if self.conductor == 1:
-            return str(self.coeffs[0])
-        parts = []
-        n = self.conductor
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                base = f"E({n})" if k == 1 else f"E({n})^{k}"
-                body = base if mag == 1 else f"{mag}*{base}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("-" if c < 0 else "+") + body)
-        return "".join(parts) if parts else "0"
+        return _terms_text(self.coeffs, f"E({self.conductor})")
 
     def __repr__(self):
         return f"Cyclotomic({self})"
@@ -463,13 +446,16 @@ class Cyclotomic:
 @lru_cache(maxsize=None)
 def _zeta_cached(n: int, e: int) -> Cyclotomic:
     # zeta_n^e is zeta_d^f, d = n/gcd(n, e), and for d = 2h with h odd that
-    # is -zeta_h^(f(h+1)/2): only the field of the conductor is set up
+    # is -zeta_h^(f(h+1)/2); d is then the conductor, so nothing descends
     g = math.gcd(n, e)
     d, f, sign = n // g, e // g, 1
     if d % 4 == 2:
         d //= 2
         f, sign = f * (d + 1) // 2 % d, -1
-    return Cyclotomic(d, _Field(d).reduce_dict({f: sign}))
+    z = object.__new__(Cyclotomic)
+    object.__setattr__(z, "conductor", d)
+    object.__setattr__(z, "coeffs", tuple(map(Fraction, _Field(d).reduce_dict({f: sign}))))
+    return z
 
 
 _ZERO = Cyclotomic(1, (Fraction(0),))

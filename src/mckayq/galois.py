@@ -73,13 +73,16 @@ class NonsolvabilityCertificate:
 
     @staticmethod
     def from_json(data) -> "NonsolvabilityCertificate":
-        if isinstance(data, (str, bytes)):
-            data = json.loads(data)
-        return NonsolvabilityCertificate(
-            factor=parse_polynomial(data["factor"]),
-            prime=int(data["prime"]),
-            pattern=tuple(int(d) for d in data["pattern"]),
-            rule=str(data["rule"]))
+        try:
+            if isinstance(data, (str, bytes)):
+                data = json.loads(data)
+            return NonsolvabilityCertificate(
+                factor=parse_polynomial(data["factor"]),
+                prime=int(data["prime"]),
+                pattern=tuple(int(d) for d in data["pattern"]),
+                rule=str(data["rule"]))
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as ex:
+            raise ValueError(f"malformed certificate JSON: {ex}") from ex
 
 
 @dataclass(frozen=True)

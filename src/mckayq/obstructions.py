@@ -21,7 +21,6 @@ from .quiver import (
     WeightVector,
     automorphism_orbits,
     char_poly,
-    is_strongly_connected,
     reduced_weight_vector,
     strongly_connected_components,
     weakly_connected_components,
@@ -115,15 +114,12 @@ class QuiverAnalysis:
         return self._char_polys[comp]
 
     def weighting(self, comp) -> WeightVector | None:
-        """The reduced weighting of the induced block, None when the
-        block is not strongly connected or has none; its candidate
+        """The reduced weighting, or None, of the block induced on a
+        strong component (all vertices for a strong quiver); its candidate
         eigenvalues come from the block's factored char poly."""
         if comp not in self._weightings:
-            sub = self.induced(comp)
-            strong = (len(self.strong_components) == 1 if sub is self.q
-                      else is_strongly_connected(sub))
             self._weightings[comp] = reduced_weight_vector(
-                sub, self.factors(self.char_poly(comp))) if strong else None
+                self.induced(comp), self.factors(self.char_poly(comp)))
         return self._weightings[comp]
 
     def factors(self, f: IntPolynomial) -> tuple[IntPolynomial, ...]:

@@ -44,6 +44,25 @@ def _zmul(a, b):
     return out
 
 
+def _terms_text(coeffs, atom: str) -> str:
+    """sum coeffs[k] * atom^k, highest power first and with no unit
+    coefficient: the text of IntPolynomial (x) and Cyclotomic (E(n))."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        m = -c if c < 0 else c  # abs() would build a new Fraction for every c
+        if k == 0:
+            body = str(m)
+        else:
+            base = atom if k == 1 else f"{atom}^{k}"
+            body = base if m == 1 else f"{m}*{base}"
+        parts.append(sign + body)
+    return "".join(parts) if parts else "0"
+
+
 class IntPolynomial:
     """Dense univariate polynomial over Z, coefficients constant-first."""
 
@@ -181,22 +200,7 @@ class IntPolynomial:
     # -- text form ---------------------------------------------------------
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            m = abs(c)
-            if e == 0:
-                body = str(m)
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                body = xs if m == 1 else f"{m}*{xs}"
-            parts.append(sign + body)
-        return "".join(parts)
+        return _terms_text(self.coeffs, "x")
 
     __repr__ = __str__
 
@@ -582,11 +586,13 @@ def _fp_derivative(a, p):
 # -- distinct- and equal-degree factorization mod p ------------------------
 
 
-def _ddf_blocks(fp: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """[(d, product of the irreducible factors of degree d)] for monic
-    squarefree fp."""
+def _ddf_blocks(f: IntPolynomial, p: int) -> list[tuple[int, list[int]]] | None:
+    """[(d, product of the irreducible factors of degree d)] of f mod p,
+    p not dividing lc(f), made monic; None when it is not squarefree."""
+    v = _fp_monic(_fp_from(f, p), p)
+    if len(_fp_gcd(v, _fp_derivative(v, p), p)) > 1:
+        return None
     blocks = []
-    v = list(fp)
     h = [0, 1]  # x
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
@@ -615,12 +621,11 @@ def ddf_pattern(f: IntPolynomial, p: int) -> tuple[int, ...]:
         raise ValueError("need a nonconstant polynomial")
     if f.lc % p == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
-    fp = _fp_monic(_fp_from(f, p), p)
-    g = _fp_gcd(fp, _fp_derivative(fp, p), p)
-    if len(g) > 1:
+    blocks = _ddf_blocks(f, p)
+    if blocks is None:
         raise BadPrime(f"not squarefree modulo {p}")
     pattern = []
-    for d, block in _ddf_blocks(fp, p):
+    for d, block in blocks:
         pattern.extend([d] * ((len(block) - 1) // d))
     return tuple(sorted(pattern))
 
@@ -712,11 +717,9 @@ def _zassenhaus_monic(F: IntPolynomial) -> list[IntPolynomial]:
     best = None
     tried = 0
     for p in _odd_primes():
-        fp = _fp_from(F, p)
-        g = _fp_gcd(fp, _fp_derivative(fp, p), p)
-        if len(g) > 1:
+        blocks = _ddf_blocks(F, p)
+        if blocks is None:
             continue
-        blocks = _ddf_blocks(fp, p)
         count = sum((len(b) - 1) // d for d, b in blocks)
         if count == 1:
             return [F]

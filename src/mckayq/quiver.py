@@ -265,30 +265,19 @@ def _strictly_positive_combination(basis: list[list[Fraction]]):
     return w
 
 
-def _normalize_positive(w: list[Fraction]) -> tuple[int, ...]:
-    den = lcm(*(v.denominator for v in w))
-    ints = [int(v * den) for v in w]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
-
-
-# the first prime of _eigenspace: the largest below 2^30, so that every
-# residue is a single CPython digit
-_WEIGHT_PRIME = (1 << 30) - 35
-
-
-def _lift_mod(v: list[int], m: int) -> tuple[int, ...] | None:
-    """v mod m (odd, a prime or a product of primes) lifted to Z: each
-    entry reconstructed as a fraction, the denominators cleared and the
-    gcd divided out, so that an entry 1 of v stays positive.  None when
-    some entry has no reconstruction."""
-    fracs = [rational_reconstruction(x, m) for x in v]
+def _normalize_positive(fracs) -> tuple[int, ...] | None:
+    """(a, b) pairs for a/b, b > 0, scaled to coprime integers; None if a pair is."""
     if None in fracs:
         return None
     den = lcm(*(b for _, b in fracs))
     ints = [a * (den // b) for a, b in fracs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+# the first prime of _eigenspace: the largest below 2^30, so that every
+# residue is a single CPython digit
+_WEIGHT_PRIME = (1 << 30) - 35
 
 
 def _eigenspace(M: list[list[int]]) -> list[tuple[int, ...]]:
@@ -301,8 +290,8 @@ def _eigenspace(M: list[list[int]]) -> list[tuple[int, ...]]:
     A vector's last nonzero entry is its free column.  A prime loses to
     one with lower nullity, or at equal nullity to one whose list of
     free columns is lexicographically later; the residues of the best
-    layout met so far are combined by CRT and each vector is lifted by
-    `_lift_mod`.  The basis is returned once M v = 0 holds over Z for
+    layout met so far are combined by CRT and lifted by rational
+    reconstruction.  The basis is returned once M v = 0 holds over Z for
     every lifted v.  Such a v is 0 after its free column j, so column j
     of M lies in the Q-span of the earlier columns: every free column
     mod p is free over Q.  There are at least as many mod p, so the sets
@@ -322,7 +311,7 @@ def _eigenspace(M: list[list[int]]) -> list[tuple[int, ...]]:
             m *= p
         else:
             best, basis, m = key, res, p
-        lifts = [_lift_mod(v, m) for v in basis]
+        lifts = [_normalize_positive([rational_reconstruction(x, m) for x in v]) for v in basis]
         if None not in lifts and all(sum(a * x for a, x in zip(row, w)) == 0
                                      for w in lifts for row in M):
             return lifts
@@ -352,7 +341,7 @@ def k_weight_vector(q: Quiver, k: int) -> WeightVector | None:
         [[Fraction(x, next(d for d in reversed(v) if d)) for x in v] for v in basis])
     if w is None:
         return None
-    weights = _normalize_positive(w)
+    weights = _normalize_positive([v.as_integer_ratio() for v in w])
     assert all(sum(a * x for a, x in zip(row, weights)) == 0 for row in M)
     return WeightVector(k, weights)
 

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckayq import cyclotomic
+from mckayq.catalog import cyclic_table
 from mckayq.cyclotomic import (
     Cyclotomic,
     CyclotomicSyntaxError,
@@ -152,6 +154,32 @@ def test_descent_reaches_the_minimal_conductor(case):
     assert all(type(c) is Fraction for c in v.coeffs)
 
 
+def test_roots_of_unity_match_the_descent_route():
+    # Cyclotomic.zeta builds zeta_n^e at its conductor in closed form;
+    # the reference reduces {e: 1} in Q(zeta_n) and descends from n
+    for n in [*range(1, 65), 96, 128, 210, 256]:
+        F = _Field(n)
+        for e in range(n):
+            z, ref = Cyclotomic.zeta(n, e), Cyclotomic(n, F.reduce_dict({e: 1}))
+            assert (z.conductor, z.coeffs) == (ref.conductor, ref.coeffs), (n, e)
+            assert all(type(c) is Fraction for c in z.coeffs)
+
+
+def test_cyclic_table_makes_no_descent(monkeypatch):
+    calls = []
+    minimize = cyclotomic._minimize
+
+    def counted(n, coeffs):
+        calls.append(n)
+        return minimize(n, coeffs)
+
+    monkeypatch.setattr(cyclotomic, "_minimize", counted)
+    cyclotomic._zeta_cached.cache_clear()
+    t = cyclic_table(48)
+    assert calls == []
+    assert t.irreducible(5)[1] == E(48, 5)
+
+
 def test_hostile_roots_of_unity_parse_fast():
     # a fresh process, so no cache holds these fields yet
     code = ("import time\n"
@@ -258,6 +286,13 @@ def test_canonical_strings():
     assert str(-E(4)) == "-E(4)"
     assert str(E(8) + E(8) ** 7) == "-E(8)^3+E(8)"
     assert str(2 * E(3) + 1) == "2*E(3)+1"
+    # the shared term printer's edge cases: a rational at conductor 1, a
+    # coefficient of +-1 at powers 0 and 1, a negative leading term
+    assert str(Cyclotomic.from_rational(Fraction(-1, 2))) == "-1/2"
+    assert str(-Cyclotomic.one()) == "-1"
+    assert str(E(3) - 1) == "E(3)-1"
+    assert str(1 - E(3)) == "-E(3)+1"
+    assert str(E(5) - 2 * E(5) ** 3) == "-2*E(5)^3+E(5)"
 
 
 def test_parse_round_trip_fixed():

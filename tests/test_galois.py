@@ -87,6 +87,16 @@ def test_certificate_json_round_trip_and_tamper():
     assert not replay_certificate(cert, parse_polynomial("x^5-2"))
 
 
+def test_malformed_certificate_json_raises_value_error():
+    good = {"factor": "x^5-x-1", "prime": 7, "pattern": [5], "rule": RULE_PRIME_CYCLE}
+    del_prime = {k: v for k, v in good.items() if k != "prime"}
+    for text in ("{", "[]", json.dumps(del_prime), json.dumps({**good, "prime": "a"}),
+                 "[" * 100000, json.dumps({**good, "factor": 5})):
+        with pytest.raises(ValueError, match="malformed certificate JSON"):
+            NonsolvabilityCertificate.from_json(text)
+    assert NonsolvabilityCertificate.from_json(json.dumps(good)).prime == 7
+
+
 def test_x5_minus_2_stays_unknown():
     # Galois group F20 is solvable, but the cycle-type screen cannot
     # certify solvability in degree 5, so the honest answer is unknown

@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mckayq.catalog import natural_rep, parse_group_spec
 from mckayq.mckay import McKayQuiver
 from mckayq.obstructions import (
@@ -10,9 +13,10 @@ from mckayq.obstructions import (
     OBSTRUCTED,
     BatteryTest,
     ObstructionReport,
+    QuiverAnalysis,
     mckay_obstruction_battery,
 )
-from mckayq.quiver import Quiver
+from mckayq.quiver import Quiver, reduced_weight_vector
 
 
 def mk(adj, weights=None):
@@ -136,3 +140,20 @@ def test_json_shape():
         assert set(entry) <= {"name", "status", "detail", "witness"}
         assert entry["status"] in ("pass", "fail", "unknown")
     json.dumps(data, sort_keys=True)
+
+
+@st.composite
+def small_quivers(draw):
+    """Quivers on 1 to 8 vertices with sparse arrow counts, so that many
+    have several strong components, loopless single vertices among them."""
+    n = draw(st.integers(1, 8))
+    cell = st.sampled_from([0, 0, 0, 1, 1, 2])
+    return mk(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_quivers())
+def test_weighting_of_each_strong_component(q):
+    a = QuiverAnalysis(q)
+    for comp in a.strong_components:
+        assert a.weighting(comp) == reduced_weight_vector(q.induced(comp))

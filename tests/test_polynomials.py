@@ -80,9 +80,15 @@ def test_parse_str_round_trip_fixed():
         ("x", (0, 1)),
         ("2*x+1", (1, 2)),
         ("x^3+x", (0, 1, 0, 1)),
+        ("0", ()),
+        ("-1", (-1,)),
+        ("x-1", (-1, 1)),
+        ("-x+1", (1, -1)),
+        ("-2*x^3+x^2-x", (0, -1, 1, -2)),
     ]:
         f = parse_polynomial(text)
         assert f.coeffs == coeffs, text
+        assert str(f) == text
         assert parse_polynomial(str(f)) == f
 
 

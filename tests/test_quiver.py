@@ -303,7 +303,7 @@ def exact_route(q, k):
     w = basis[0] if len(basis) == 1 else _strictly_positive_combination(basis)
     if w is None or any(x <= 0 for x in w):
         return None
-    return WeightVector(k, _normalize_positive(w))
+    return WeightVector(k, _normalize_positive([x.as_integer_ratio() for x in w]))
 
 
 def assert_sympy_basis(M):
@@ -405,7 +405,8 @@ def test_a_lift_that_fails_the_exact_check_is_never_returned(monkeypatch, primes
     # w = (1, 34) at k = 34, but 1/34 = 3 mod 101 lifts to (3, 1)
     q = mk([[0, 1], [34 * 34, 0]])
     M = [[-34, 1], [34 * 34, -34]]
-    assert quiver._lift_mod(nullspace_mod(M, 101)[0], 101) == (3, 1)
+    lift = [rational_reconstruction(x, 101) for x in nullspace_mod(M, 101)[0]]
+    assert quiver._normalize_positive(lift) == (3, 1)
     assert k_weight_vector(q, 34) == WeightVector(34, (1, 34))
     # k = 1 is no eigenvalue of [[102]], but A - kI vanishes mod 101
     assert k_weight_vector(mk([[102]]), 1) is None
