@@ -69,7 +69,7 @@ class CharacterTable:
         r = len(classes)
         if r == 0:
             raise ValueError("a table needs at least one class")
-        if not isinstance(order, int) or order < 1:
+        if type(order) is not int or order < 1:
             raise ValueError("order must be a positive integer")
         rows = []
         for row in characters:
@@ -80,9 +80,9 @@ class CharacterTable:
         if len(rows) != r:
             raise ValueError("need exactly as many characters as classes")
         for c in classes:
-            if not isinstance(c.size, int) or c.size < 1:
+            if type(c.size) is not int or c.size < 1:
                 raise ValueError(f"class {c.name!r} has a bad size")
-            if not (0 <= c.power2 < r and 0 <= c.inverse < r):
+            if not all(type(m) is int and 0 <= m < r for m in (c.power2, c.inverse)):
                 raise ValueError(f"class {c.name!r} has out-of-range maps")
         self.name = str(name)
         self.order = order
@@ -117,7 +117,10 @@ class CharacterTable:
     def row_index(self, values) -> int | None:
         """Index of the irreducible with exactly these values, if any."""
         eng = self._engine()
-        return eng.row_of([_as_cyclotomic(v).terms(eng.exponent) for v in values])
+        values = [_as_cyclotomic(v) for v in values]
+        if any(eng.exponent % v.conductor for v in values):
+            return None  # a value outside Q(zeta_E) is in no row
+        return eng.row_of([v.terms(eng.exponent) for v in values])
 
     def dual_index(self, i: int) -> int:
         """Index of the complex conjugate of row i.
@@ -696,8 +699,10 @@ def table_from_json(data, force: bool = False) -> CharacterTable:
 
     def value(s):
         nonlocal E
-        if not isinstance(s, str):
+        if type(s) is int:
             return Cyclotomic.from_rational(s)
+        if type(s) is not str:
+            raise TypeError(f"a value must be a string or an integer, not {s!r}")
         if s not in parsed:
             parsed[s] = v = parse_cyclotomic(s)
             E = math.lcm(E, v.conductor)

@@ -26,6 +26,7 @@ from .chartab import (
     table_from_json,
     table_to_json,
 )
+from .galois import DEFAULT_PRIME_BUDGET
 from .mckay import InternalInconsistency, McKayQuiver
 from .obstructions import QuiverAnalysis, mckay_obstruction_battery
 from .polynomials import MAX_FACTOR_DEGREE
@@ -171,7 +172,7 @@ def _analyze_report(q: Quiver, prime_budget: int) -> dict:
         "char_poly": str(cp),
         "factorization": [{"factor": f, "multiplicity": m} for f, m in factors],
         "solvability": a.solvability(cp).to_json(),
-        "battery": mckay_obstruction_battery(q, prime_budget, analysis=a).to_json(),
+        "battery": a.battery().to_json(),
     }
 
 
@@ -266,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="full analysis of a quiver file")
     sp.add_argument("quiver_file")
-    sp.add_argument("--prime-budget", type=int, default=10000,
+    sp.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET,
                     help="prime search bound for solvability verdicts")
     add_common(sp, ("text", "json"))
     sp.set_defaults(func=cmd_analyze)
@@ -274,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-mckay",
                         help="run the McKay obstruction battery on a quiver file")
     sp.add_argument("quiver_file")
-    sp.add_argument("--prime-budget", type=int, default=10000)
+    sp.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET)
     add_common(sp, ("text", "json"))
     sp.set_defaults(func=cmd_check_mckay)
 

@@ -37,12 +37,11 @@ from .polynomials import (
     is_prime,
     parse_polynomial,
     primes_below,
-    squarefree_part,
 )
 
 __all__ = [
     "NonsolvabilityCertificate", "SolvabilityVerdict", "solvability",
-    "replay_certificate", "component_solvability",
+    "replay_certificate", "component_solvability", "DEFAULT_PRIME_BUDGET",
     "SOLVABLE", "NOT_SOLVABLE", "UNKNOWN", "MAX_PRIME_BUDGET",
 ]
 
@@ -56,6 +55,7 @@ RULE_TRANSPOSITION = "transposition"
 # the largest prime budget: the witness scan sieves a bytearray of this
 # many bytes, and 10^6 already holds 78,498 primes
 MAX_PRIME_BUDGET = 10 ** 6
+DEFAULT_PRIME_BUDGET = 10000
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,12 @@ class NonsolvabilityCertificate:
         try:
             if isinstance(data, (str, bytes)):
                 data = json.loads(data)
+            prime, pattern, rule = data["prime"], data["pattern"], data["rule"]
+            if not (type(prime) is int and type(pattern) is list and type(rule) is str
+                    and all(type(d) is int for d in pattern)):
+                raise TypeError("prime and pattern need JSON integers, rule a string")
             return NonsolvabilityCertificate(
-                factor=parse_polynomial(data["factor"]),
-                prime=int(data["prime"]),
-                pattern=tuple(int(d) for d in data["pattern"]),
-                rule=str(data["rule"]))
+                parse_polynomial(data["factor"]), prime, tuple(pattern), rule)
         except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as ex:
             raise ValueError(f"malformed certificate JSON: {ex}") from ex
 
@@ -126,8 +127,8 @@ def _witness_for_factor(f: IntPolynomial, prime_budget: int):
     return None
 
 
-def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
-                factors=None, witnesses=None) -> SolvabilityVerdict:
+def solvability(f: IntPolynomial, prime_budget: int = DEFAULT_PRIME_BUDGET,
+                *, factors=None, witnesses=None) -> SolvabilityVerdict:
     """Decide solvability of the Galois group of f where possible.
 
     Verdicts: "solvable" when every irreducible factor has degree <= 4
@@ -137,17 +138,18 @@ def solvability(f: IntPolynomial, prime_budget: int = 10000, *,
     "unknown" to "not_solvable".  A budget above MAX_PRIME_BUDGET raises
     ValueError.
 
-    A caller that already knows the distinct irreducible factors of f,
-    as `factor_over_Q` orders them, may pass them as `factors`; a dict
-    passed as `witnesses` keeps each factor's witness search (its
-    certificate or None) for later calls with the same budget."""
+    The factors are the distinct entries of `factor_over_Q(f)`, which
+    splits f into its squarefree parts; a caller that already has them,
+    in that order, passes them as `factors`.  A dict passed as
+    `witnesses` keeps each factor's witness search (its certificate or
+    None) for later calls with the same budget."""
     if prime_budget > MAX_PRIME_BUDGET:
         raise ValueError(f"prime budget {prime_budget} is above the supported "
                          f"bound {MAX_PRIME_BUDGET}")
     if f.is_zero:
         raise ValueError("the zero polynomial has no Galois group")
     if factors is None:
-        factors = factor_over_Q(squarefree_part(f))
+        factors = tuple(dict.fromkeys(factor_over_Q(f)))
     if witnesses is None:
         witnesses = {}
     degrees = tuple(g.degree for g in factors)
@@ -181,7 +183,7 @@ def replay_certificate(cert: NonsolvabilityCertificate,
     if g.degree < 5:
         return False
     if f is not None:
-        if squarefree_part(f).try_divide(g) is None:
+        if f.primitive().try_divide(g) is None:
             return False
     if factor_over_Q(g) != (g.primitive(),):
         return False
@@ -194,7 +196,7 @@ def replay_certificate(cert: NonsolvabilityCertificate,
     return _rule_for_pattern(g.degree, pattern) == cert.rule
 
 
-def component_solvability(q, prime_budget: int = 10000):
+def component_solvability(q, prime_budget: int = DEFAULT_PRIME_BUDGET):
     """Per weak component of a quiver: (vertex tuple, verdict for the
     characteristic polynomial of the induced adjacency block)."""
     from .obstructions import QuiverAnalysis

@@ -201,21 +201,17 @@ def dual_reversal_check(mq: McKayQuiver) -> bool:
 # -- connectivity --------------------------------------------------------------
 
 
-def _canonical_partition(parts) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0]))
-
-
 def component_partition(mq: McKayQuiver) -> tuple[tuple[int, ...], ...]:
     """Connected components of the quiver, as sorted vertex tuples.
 
     Three routes must agree: strong connectivity, weak connectivity,
-    and grouping rows by their normalized values on the kernel classes
-    of the representation.  Any disagreement raises
-    InternalInconsistency.
+    and grouping rows by their normalized values on the kernel classes.
+    Each yields sorted blocks ordered by first vertex, and any
+    disagreement, in order too, raises InternalInconsistency.
     """
     q = mq.to_quiver()
-    strong = _canonical_partition(strongly_connected_components(q))
-    weak = _canonical_partition(weakly_connected_components(q))
+    strong = strongly_connected_components(q)
+    weak = weakly_connected_components(q)
 
     t = mq.table
     eng = t._engine()
@@ -227,7 +223,7 @@ def component_partition(mq: McKayQuiver) -> tuple[tuple[int, ...], ...]:
         sig = tuple(tuple(x * (scale // di) for x in eng.coords[i][c])
                     for c in kernel)
         groups.setdefault(sig, []).append(i)
-    prop = _canonical_partition(groups.values())
+    prop = tuple(map(tuple, groups.values()))
 
     if not (strong == weak == prop):
         raise InternalInconsistency(

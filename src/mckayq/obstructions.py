@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .galois import NOT_SOLVABLE, SOLVABLE, solvability
+from .galois import DEFAULT_PRIME_BUDGET, NOT_SOLVABLE, SOLVABLE, solvability
 from .polynomials import IntPolynomial, factor_over_Q
 from .quiver import (
     Quiver,
@@ -84,7 +84,7 @@ class QuiverAnalysis:
     it is the only place these results are kept.
     """
 
-    def __init__(self, q: Quiver, prime_budget: int = 10000):
+    def __init__(self, q: Quiver, prime_budget: int = DEFAULT_PRIME_BUDGET):
         self.q = q
         self.prime_budget = prime_budget
         self._char_polys: dict[tuple[int, ...], IntPolynomial] = {}
@@ -129,13 +129,12 @@ class QuiverAnalysis:
         return self._factors[f]
 
     def solvability(self, f: IntPolynomial):
-        """solvability(f, prime_budget), from the factorization of f when
-        it is known, and sharing each factor's witness search."""
+        """solvability(f, prime_budget), from the kept factorization of f
+        and sharing each factor's witness search."""
         if f not in self._verdicts:
-            known = self._factors.get(f)
             self._verdicts[f] = solvability(
                 f, self.prime_budget, witnesses=self._witnesses,
-                factors=None if known is None else tuple(dict.fromkeys(known)))
+                factors=tuple(dict.fromkeys(self.factors(f))))
         return self._verdicts[f]
 
     def component_solvability(self):
@@ -144,120 +143,118 @@ class QuiverAnalysis:
         return tuple((comp, self.solvability(self.char_poly(comp)))
                      for comp in self.weak_components)
 
+    def battery(self) -> ObstructionReport:
+        """Run the five obstruction tests in order.
 
-def mckay_obstruction_battery(q: Quiver, prime_budget: int = 10000, *,
-                              analysis: QuiverAnalysis | None = None
-                              ) -> ObstructionReport:
-    """Run the five obstruction tests in order.
+        1. strong connectivity (a faithful representation's quiver has one
+           strongly connected block);
+        2. existence of the unique reduced weight vector;
+        3. arithmetic of the weight multiset: it contains 1, every weight
+           divides the sum of squared weights, and the number of weight-1
+           vertices divides that sum (necessary conditions only);
+        4. some quiver automorphism orbit contains every weight-1 vertex;
+        5. solvability by radicals of the characteristic polynomial, per
+           weak component.
 
-    1. strong connectivity (a faithful representation's quiver has one
-       strongly connected block);
-    2. existence of the unique reduced weight vector;
-    3. arithmetic of the weight multiset: it contains 1, every weight
-       divides the sum of squared weights, and the number of weight-1
-       vertices divides that sum (necessary conditions only);
-    4. some quiver automorphism orbit contains every weight-1 vertex;
-    5. solvability by radicals of the characteristic polynomial, per
-       weak component.
+        Tests 2 to 4 are reported unknown when an earlier prerequisite is
+        missing; test 5 always runs.  `analyze` calls this on the analysis
+        it reports from, so nothing is computed twice.
+        """
+        tests: list[BatteryTest] = []
 
-    Tests 2 to 4 are reported unknown when an earlier prerequisite is
-    missing; test 5 always runs.  A caller that reports more on the same
-    quiver passes its QuiverAnalysis, so that nothing is computed twice.
-    """
-    if analysis is None:
-        analysis = QuiverAnalysis(q, prime_budget)
-    elif analysis.q is not q or analysis.prime_budget != prime_budget:
-        raise ValueError("the analysis belongs to another quiver or prime budget")
-    tests: list[BatteryTest] = []
-
-    blocks = analysis.strong_components
-    strong = len(blocks) == 1
-    if strong:
-        tests.append(BatteryTest(
-            "strong-connectivity", "pass", "one strongly connected block"))
-    else:
-        tests.append(BatteryTest(
-            "strong-connectivity", "fail",
-            f"{len(blocks)} strongly connected blocks",
-            witness=[[v + 1 for v in sorted(b)] for b in blocks]))
-
-    rw = analysis.weighting(analysis.all_vertices) if strong else None
-    if not strong:
-        tests.append(BatteryTest(
-            "reduced-weighting", "unknown", "requires strong connectivity"))
-    elif rw is None:
-        tests.append(BatteryTest(
-            "reduced-weighting", "fail",
-            "no integer eigenvalue admits a positive weight vector"))
-    else:
-        tests.append(BatteryTest(
-            "reduced-weighting", "pass",
-            f"k = {rw.k}, weights {list(rw.weights)}",
-            witness={"k": rw.k, "weights": list(rw.weights)}))
-
-    if rw is None:
-        tests.append(BatteryTest(
-            "weight-arithmetic", "unknown", "needs a reduced weight vector"))
-    else:
-        w = rw.weights
-        sq = sum(x * x for x in w)
-        ones = w.count(1)
-        problems = []
-        if ones == 0:
-            problems.append("no weight-1 vertex")
-        bad = sorted({x for x in w if sq % x})
-        if bad:
-            problems.append(f"weights {bad} do not divide {sq}")
-        if ones and sq % ones:
-            problems.append(f"the {ones} weight-1 vertices do not divide {sq}")
-        if problems:
+        blocks = self.strong_components
+        strong = len(blocks) == 1
+        if strong:
             tests.append(BatteryTest(
-                "weight-arithmetic", "fail", "; ".join(problems),
-                witness={"weights": list(w), "sum_of_squares": sq}))
+                "strong-connectivity", "pass", "one strongly connected block"))
         else:
             tests.append(BatteryTest(
-                "weight-arithmetic", "pass",
-                f"necessary conditions (sum of squared weights {sq})"))
+                "strong-connectivity", "fail",
+                f"{len(blocks)} strongly connected blocks",
+                witness=[[v + 1 for v in sorted(b)] for b in blocks]))
 
-    if rw is None:
-        tests.append(BatteryTest(
-            "weight-one-orbit", "unknown", "needs a reduced weight vector"))
-    elif 1 not in rw.weights:
-        tests.append(BatteryTest(
-            "weight-one-orbit", "unknown", "no weight-1 vertices"))
-    else:
-        weighted = Quiver(q.vertices, q.adjacency, weights=rw.weights)
-        orbits = automorphism_orbits(weighted)
-        hit = [tuple(v for v in orb if rw.weights[v] == 1) for orb in orbits]
-        hit = [h for h in hit if h]
-        if len(hit) == 1:
+        rw = self.weighting(self.all_vertices) if strong else None
+        if not strong:
             tests.append(BatteryTest(
-                "weight-one-orbit", "pass",
-                "all weight-1 vertices lie in one automorphism orbit"))
+                "reduced-weighting", "unknown", "requires strong connectivity"))
+        elif rw is None:
+            tests.append(BatteryTest(
+                "reduced-weighting", "fail",
+                "no integer eigenvalue admits a positive weight vector"))
         else:
             tests.append(BatteryTest(
-                "weight-one-orbit", "fail",
-                f"weight-1 vertices split into {len(hit)} orbits",
-                witness=[[v + 1 for v in h] for h in hit]))
+                "reduced-weighting", "pass",
+                f"k = {rw.k}, weights {list(rw.weights)}",
+                witness={"k": rw.k, "weights": list(rw.weights)}))
 
-    per_comp = analysis.component_solvability()
-    failures = [(comp, v) for comp, v in per_comp if v.status == NOT_SOLVABLE]
-    if failures:
-        tests.append(BatteryTest(
-            "charpoly-solvability", "fail",
-            "a component's characteristic polynomial is not solvable "
-            "by radicals",
-            witness=[{"component": [v + 1 for v in comp],
-                      "verdict": verdict.to_json()}
-                     for comp, verdict in failures]))
-    elif all(v.status == SOLVABLE for _, v in per_comp):
-        tests.append(BatteryTest(
-            "charpoly-solvability", "pass",
-            "every component's characteristic polynomial is solvable "
-            "by radicals"))
-    else:
-        tests.append(BatteryTest(
-            "charpoly-solvability", "unknown",
-            f"no nonsolvability witness within prime budget {prime_budget}"))
+        if rw is None:
+            tests.append(BatteryTest(
+                "weight-arithmetic", "unknown", "needs a reduced weight vector"))
+        else:
+            w = rw.weights
+            sq = sum(x * x for x in w)
+            ones = w.count(1)
+            problems = []
+            if ones == 0:
+                problems.append("no weight-1 vertex")
+            bad = sorted({x for x in w if sq % x})
+            if bad:
+                problems.append(f"weights {bad} do not divide {sq}")
+            if ones and sq % ones:
+                problems.append(f"the {ones} weight-1 vertices do not divide {sq}")
+            if problems:
+                tests.append(BatteryTest(
+                    "weight-arithmetic", "fail", "; ".join(problems),
+                    witness={"weights": list(w), "sum_of_squares": sq}))
+            else:
+                tests.append(BatteryTest(
+                    "weight-arithmetic", "pass",
+                    f"necessary conditions (sum of squared weights {sq})"))
 
-    return ObstructionReport(tests)
+        if rw is None:
+            tests.append(BatteryTest(
+                "weight-one-orbit", "unknown", "needs a reduced weight vector"))
+        elif 1 not in rw.weights:
+            tests.append(BatteryTest(
+                "weight-one-orbit", "unknown", "no weight-1 vertices"))
+        else:
+            weighted = Quiver(self.q.vertices, self.q.adjacency, weights=rw.weights)
+            orbits = automorphism_orbits(weighted)
+            hit = [tuple(v for v in orb if rw.weights[v] == 1) for orb in orbits]
+            hit = [h for h in hit if h]
+            if len(hit) == 1:
+                tests.append(BatteryTest(
+                    "weight-one-orbit", "pass",
+                    "all weight-1 vertices lie in one automorphism orbit"))
+            else:
+                tests.append(BatteryTest(
+                    "weight-one-orbit", "fail",
+                    f"weight-1 vertices split into {len(hit)} orbits",
+                    witness=[[v + 1 for v in h] for h in hit]))
+
+        per_comp = self.component_solvability()
+        failures = [(comp, v) for comp, v in per_comp if v.status == NOT_SOLVABLE]
+        if failures:
+            tests.append(BatteryTest(
+                "charpoly-solvability", "fail",
+                "a component's characteristic polynomial is not solvable "
+                "by radicals",
+                witness=[{"component": [v + 1 for v in comp],
+                          "verdict": verdict.to_json()}
+                         for comp, verdict in failures]))
+        elif all(v.status == SOLVABLE for _, v in per_comp):
+            tests.append(BatteryTest(
+                "charpoly-solvability", "pass",
+                "every component's characteristic polynomial is solvable "
+                "by radicals"))
+        else:
+            tests.append(BatteryTest(
+                "charpoly-solvability", "unknown",
+                f"no nonsolvability witness within prime budget {self.prime_budget}"))
+
+        return ObstructionReport(tests)
+
+
+def mckay_obstruction_battery(q: Quiver, prime_budget: int = DEFAULT_PRIME_BUDGET):
+    """The ObstructionReport of `QuiverAnalysis.battery` on a fresh analysis of q."""
+    return QuiverAnalysis(q, prime_budget).battery()

@@ -279,13 +279,8 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     """Product of the distinct irreducible factors, primitive, lc > 0."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no squarefree part")
-    f = f.primitive()
-    if f.degree < 1:
-        return IntPolynomial.one()
-    g = poly_gcd(f, f.derivative())
-    q = f.try_divide(g)
-    assert q is not None  # Gauss: the quotient of primitives is integral
-    return q.primitive()
+    return math.prod((g for g, _ in squarefree_decomposition(f)),
+                     start=IntPolynomial.one())
 
 
 def squarefree_decomposition(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -423,31 +418,21 @@ def _cyclotomic_candidates() -> tuple[tuple[int, int, int], ...]:
 
     phi is multiplicative with phi(p^a) = (p-1)*p^(a-1), so the d are the
     products of prime powers with p <= n+1 whose phis multiply to at most n.
-    Phi_d(2) is the product over the subsets S of the distinct primes of d
-    of (2^(d/prod S) - 1)^((-1)^|S|), so no Phi_d is built here."""
+    Phi_d(2) is 2^d - 1 = prod_{e | d} Phi_e(2) over the Phi_e(2) of its
+    proper divisors e, candidates met earlier in d (phi(e) <= phi(d))."""
     n = MAX_FACTOR_DEGREE
-    found = [(1, 1, ())]
+    phis = {1: 1}
     for p in primes_below(n + 2):
-        for d, phi, ps in list(found):
+        for d, phi in list(phis.items()):
             q, f = p, phi * (p - 1)
             while f <= n:
-                found.append((d * q, f, ps + (p,)))
+                phis[d * q] = f
                 q *= p
                 f *= p
-    out = []
-    for d, phi, ps in found:
-        num = den = 1
-        for mask in range(1 << len(ps)):
-            e = d
-            for i, p in enumerate(ps):
-                if mask >> i & 1:
-                    e //= p
-            if bin(mask).count("1") % 2:
-                den *= (1 << e) - 1
-            else:
-                num *= (1 << e) - 1
-        out.append((phi, d, num // den))
-    return tuple(sorted(out))
+    at2: dict[int, int] = {}
+    for d in sorted(phis):
+        at2[d] = ((1 << d) - 1) // math.prod(w for e, w in at2.items() if d % e == 0)
+    return tuple(sorted((phis[d], d, at2[d]) for d in phis))
 
 
 def cyclotomic_index(f: IntPolynomial) -> int | None:
@@ -599,9 +584,9 @@ def _ddf_blocks(f: IntPolynomial, p: int) -> list[tuple[int, list[int]]] | None:
         d += 1
         h = _fp_powmod(h, p, v, p)
         g = _fp_gcd(_fp_sub(h, [0, 1], p), v, p)
-        if g and len(g) > 1:
+        if len(g) > 1:
             blocks.append((d, g))
-            v, r = _fp_divmod(v, g, p)[0], None
+            v = _fp_divmod(v, g, p)[0]
             _, h = _fp_divmod(h, v, p)
     if len(v) > 1:
         blocks.append((len(v) - 1, v))
@@ -728,7 +713,7 @@ def _zassenhaus_monic(F: IntPolynomial) -> list[IntPolynomial]:
         tried += 1
         if tried >= 6:
             break
-    count, p, blocks = best
+    _, p, blocks = best
     rng = random.Random(str(("edf-seed", p, F.coeffs)))
     mods = []
     for d, block in blocks:

@@ -102,6 +102,14 @@ def test_cross_table_mismatch():
         t1.trivial() + t2.trivial()
 
 
+def test_row_index_of_values_outside_the_table_field():
+    t = cyclic_table(6)
+    assert t._engine().exponent == 3
+    # E(5)^k cannot be written over Q(zeta_3), so no row has these values
+    assert t.row_index([1, E(5), E(5) ** 2, E(5) ** 3, 1, 1]) is None
+    assert [t.row_index(row) for row in t.characters] == list(range(6))
+
+
 def test_decompose_round_trip_fixed():
     t = dicyclic_table(12)
     chi5 = t.irreducible(4)
@@ -269,6 +277,21 @@ def test_table_format_errors():
                          "classes": [{"name": "1", "size": 1,
                                       "power2": 0, "inverse": 0}],
                          "characters": [["E(4"]]})
+
+
+@pytest.mark.parametrize("path, value", [
+    (("classes", 1, "power2"), 0.0), (("classes", 1, "inverse"), 1.0),
+    (("classes", 0, "size"), True), (("order",), True), (("order",), 2.0),
+    (("characters", 1, 1), -1.0), (("characters", 1, 0), True)])
+def test_table_json_takes_json_integers(path, value):
+    data = table_to_json(cyclic_table(2))
+    *inner, last = path
+    target = data
+    for key in inner:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(TableFormatError, match="malformed table JSON"):
+        table_from_json(json.dumps(data), force=True)
 
 
 def test_render_text():

@@ -298,6 +298,19 @@ def test_verify_power_above_the_bound(tmp_path):
     assert "exponent 100000000 is above" in proc.stderr
 
 
+@pytest.mark.parametrize("field, value", [("power2", 0.0), ("inverse", 0.0),
+                                          ("size", True)])
+@pytest.mark.parametrize("command", [["verify"], ["table", "--format", "json", "--table"]])
+def test_table_json_needs_json_integers(capsys, tmp_path, field, value, command):
+    data = table_to_json(parse_group_spec("C:1"))
+    data["classes"][0][field] = value
+    path = tmp_path / "lookalike.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert "malformed table JSON" in err
+
+
 def test_verify_a_one_class_table_of_e1018(tmp_path):
     # E(1018) = -E(509)^255: its conductor descends in closed form
     path = tmp_path / "e1018.json"

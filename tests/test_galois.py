@@ -19,7 +19,12 @@ from mckayq.galois import (
     replay_certificate,
     solvability,
 )
-from mckayq.polynomials import IntPolynomial, ddf_pattern, parse_polynomial
+from mckayq.polynomials import (
+    IntPolynomial,
+    ddf_pattern,
+    parse_polynomial,
+    squarefree_part,
+)
 from mckayq.quiver import Quiver
 
 X = sympy.Symbol("x")
@@ -48,6 +53,17 @@ def test_products_of_low_degree_factors():
     v = solvability(parse_polynomial("x^12-1"))
     assert v.status == SOLVABLE
     assert sorted(v.factor_degrees) == [1, 1, 2, 2, 2, 4]
+
+
+@pytest.mark.parametrize("parts", [
+    (QUINTIC, QUINTIC, parse_polynomial("x^2+1")),
+    (parse_polynomial("x^5-2"),) * 3 + (parse_polynomial("-3*x^4+3*x+3"),),
+    (parse_polynomial("x^12-1"), parse_polynomial("x^4-1"))])
+def test_repeated_factors_do_not_change_the_verdict(parts):
+    f = IntPolynomial.one()
+    for g in parts:
+        f = f * g
+    assert solvability(f, 500) == solvability(squarefree_part(f), 500)
 
 
 def test_quintic_not_solvable_with_certificate():
@@ -95,6 +111,26 @@ def test_malformed_certificate_json_raises_value_error():
         with pytest.raises(ValueError, match="malformed certificate JSON"):
             NonsolvabilityCertificate.from_json(text)
     assert NonsolvabilityCertificate.from_json(json.dumps(good)).prime == 7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("prime", 7.9), ("prime", True), ("pattern", "5"), ("pattern", [5.7]),
+    ("rule", 5)])
+def test_certificate_json_takes_no_lookalike_fields(field, value):
+    good = {"factor": "x^5-x-1", "prime": 7, "pattern": [5], "rule": RULE_PRIME_CYCLE}
+    with pytest.raises(ValueError, match="malformed certificate JSON"):
+        NonsolvabilityCertificate.from_json(json.dumps({**good, field: value}))
+
+
+def test_replay_against_a_polynomial_with_content():
+    cert = solvability(QUINTIC).certificates[0]
+    x2_plus_1 = parse_polynomial("x^2+1")
+    f = QUINTIC * QUINTIC * x2_plus_1 * 2
+    assert f.content() == 2
+    assert replay_certificate(cert, f)
+    doubled = NonsolvabilityCertificate(
+        cert.factor * 2, cert.prime, cert.pattern, cert.rule)
+    assert not replay_certificate(doubled, f)
 
 
 def test_x5_minus_2_stays_unknown():

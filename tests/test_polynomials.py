@@ -141,6 +141,17 @@ def test_squarefree():
     assert rebuilt == f.primitive()
 
 
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy, poly_strategy, st.integers(1, 3), st.integers(2, 6))
+@example([-1, 0, 2], [3, -1], 3, 4)
+def test_squarefree_part_matches_sympy(ca, cb, mult, content):
+    """Inputs with content above 1, a negative leading coefficient and a
+    repeated factor, against sympy's sqf_part made primitive with lc > 0."""
+    f = IntPolynomial(ca) * IntPolynomial(cb) ** mult * -content
+    want = from_sympy(sympy.sqf_part(to_sympy(f))).primitive()
+    assert squarefree_part(f) == want
+
+
 # -- factorization ------------------------------------------------------------------
 
 
@@ -276,6 +287,16 @@ def test_import_does_no_polynomial_work():
 def test_cyclotomic_caches_are_bounded():
     assert cyclotomic_polynomial.cache_info().maxsize is not None
     assert polynomials._cyclotomic_candidates.cache_info().maxsize == 1
+
+
+def test_cyclotomic_candidates_match_sympy():
+    # phi(d) >= sqrt(d/2), so phi(d) <= 64 leaves only d <= 2 * 64^2
+    want = []
+    for d in range(1, 2 * MAX_FACTOR_DEGREE ** 2 + 1):
+        phi = int(sympy.totient(d))
+        if phi <= MAX_FACTOR_DEGREE:
+            want.append((phi, d, int(sympy.cyclotomic_poly(d, 2))))
+    assert polynomials._cyclotomic_candidates() == tuple(sorted(want))
 
 
 # -- small prime utilities -----------------------------------------------------------

@@ -102,6 +102,18 @@ def test_scc_of_catalog_mckay_quivers_matches_transitive_closure():
             assert strongly_connected_components(mk(A)) == brute_scc(A), (spec, k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(adjacency_strategy, sparse_adjacency_strategy))
+def test_components_come_out_canonical(adj):
+    """Both component functions give sorted blocks ordered by first
+    vertex, so callers compare them as produced."""
+    for blocks in (strongly_connected_components(mk(adj)),
+                   weakly_connected_components(mk(adj))):
+        assert all(list(b) == sorted(b) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        assert sorted(v for b in blocks for v in b) == list(range(len(adj)))
+
+
 def test_scc_frozen():
     two_cycles = mk([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert strongly_connected_components(two_cycles) == ((0, 1), (2, 3))

@@ -640,11 +640,11 @@ def test_analyze_computes_each_quantity_once(monkeypatch, capsys, tmp_path):
     assert [str(f) for f in witnesses] == ["x^5-3*x^4-x^3+5*x^2-1"]
 
 
-def test_battery_rejects_a_foreign_analysis():
-    q = _quivers()["strong"]
-    with pytest.raises(ValueError):
-        obstructions.mckay_obstruction_battery(
-            q, 100, analysis=obstructions.QuiverAnalysis(q, 200))
+def test_battery_function_is_the_analysis_method():
+    for q in _quivers().values():
+        for budget in (100, 500):
+            assert (obstructions.mckay_obstruction_battery(q, budget).to_json()
+                    == obstructions.QuiverAnalysis(q, budget).battery().to_json())
 
 
 # -- verify runs the checks once ----------------------------------------------------------------
