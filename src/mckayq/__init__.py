@@ -4,135 +4,65 @@ The package builds McKay quivers of finite group representations with
 exact cyclotomic arithmetic, verifies character tables, analyzes quiver
 connectivity and weightings, and certifies obstructions against
 arbitrary quivers being McKay quivers.
+
+`import mckayq` loads no submodule: each public name is read from the
+module that defines it, which is imported when one of its names is
+first used, so a program loads only the layers it uses.
 """
 
-from .cyclotomic import (
-    Cyclotomic,
-    CyclotomicSyntaxError,
-    E,
-    NotRational,
-    cyclotomic_polynomial,
-    euler_phi,
-    parse_cyclotomic,
-)
-from .chartab import (
-    CharacterTable,
-    ClassFunction,
-    ConjClass,
-    InvalidKernel,
-    NotACharacter,
-    TableFormatError,
-    TableMismatch,
-    TableValidationError,
-    VerificationReport,
-    decompose,
-    dual,
-    fs_indicator,
-    inner_product,
-    is_symplectic,
-    kernel_classes,
-    proportional_on_classes,
-    quotient_table,
-    render_table_text,
-    table_from_json,
-    table_to_json,
-    verify_table,
-)
-from .catalog import (
-    GroupSpecError,
-    binary_icosahedral_table,
-    binary_octahedral_table,
-    binary_tetrahedral_table,
-    catalog_specs,
-    cyclic_table,
-    dicyclic_table,
-    direct_product,
-    natural_rep,
-    parse_group_spec,
-    regular_rep,
-)
-from .mckay import (
-    InternalInconsistency,
-    McKayQuiver,
-    PrincipalComponent,
-    character_walk_matrix,
-    component_count,
-    component_partition,
-    dual_action_simply_transitive,
-    dual_group_action,
-    dual_reversal_check,
-    eigen_check,
-    mckay_matrix,
-    principal_component,
-    walk_matrix,
-    walk_multiplicity,
-)
-from .quiver import (
-    Quiver,
-    QuiverFormatError,
-    WeightVector,
-    ade_classify,
-    automorphism_orbits,
-    char_poly,
-    find_isomorphism,
-    is_strongly_connected,
-    k_weight_vector,
-    quiver_isomorphic,
-    reduced_weight_vector,
-    strongly_connected_components,
-    to_dot,
-    weakly_connected_components,
-)
-from .polynomials import (
-    IntPolynomial,
-    PolynomialSyntaxError,
-    factor_over_Q,
-    parse_polynomial,
-    squarefree_part,
-)
-from .galois import (
-    NOT_SOLVABLE,
-    NonsolvabilityCertificate,
-    SOLVABLE,
-    SolvabilityVerdict,
-    UNKNOWN,
-    component_solvability,
-    replay_certificate,
-    solvability,
-)
-from .obstructions import (
-    BatteryTest,
-    ObstructionReport,
-    mckay_obstruction_battery,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ade_classify", "automorphism_orbits", "BatteryTest",
-    "binary_icosahedral_table", "binary_octahedral_table",
-    "binary_tetrahedral_table", "catalog_specs", "char_poly",
-    "character_walk_matrix", "CharacterTable", "ClassFunction",
-    "component_count", "component_partition", "component_solvability",
-    "ConjClass", "cyclic_table", "Cyclotomic", "cyclotomic_polynomial",
-    "CyclotomicSyntaxError", "decompose", "dicyclic_table",
-    "direct_product", "dual", "dual_action_simply_transitive",
-    "dual_group_action", "dual_reversal_check", "E", "eigen_check",
-    "euler_phi", "factor_over_Q", "find_isomorphism", "fs_indicator",
-    "GroupSpecError", "inner_product", "InternalInconsistency",
-    "IntPolynomial", "InvalidKernel", "is_strongly_connected",
-    "is_symplectic", "k_weight_vector", "kernel_classes", "mckay_matrix",
-    "mckay_obstruction_battery", "McKayQuiver", "natural_rep",
-    "NonsolvabilityCertificate", "NOT_SOLVABLE", "NotACharacter",
-    "NotRational", "ObstructionReport", "parse_cyclotomic",
-    "parse_group_spec", "parse_polynomial", "PolynomialSyntaxError",
-    "principal_component", "PrincipalComponent", "proportional_on_classes",
-    "Quiver", "quiver_isomorphic", "QuiverFormatError", "quotient_table",
-    "reduced_weight_vector", "regular_rep", "render_table_text",
-    "replay_certificate", "solvability", "SolvabilityVerdict", "SOLVABLE",
-    "squarefree_part", "strongly_connected_components", "table_from_json",
-    "table_to_json", "TableFormatError", "TableMismatch",
-    "TableValidationError", "to_dot", "UNKNOWN", "VerificationReport",
-    "verify_table", "walk_matrix", "walk_multiplicity",
-    "weakly_connected_components", "WeightVector",
-]
+_PUBLIC = {
+    "polynomials": (
+        "IntPolynomial", "PolynomialSyntaxError", "cyclotomic_polynomial",
+        "factor_over_Q", "parse_polynomial", "squarefree_part"),
+    "cyclotomic": (
+        "Cyclotomic", "CyclotomicSyntaxError", "E", "NotRational", "euler_phi",
+        "parse_cyclotomic"),
+    "chartab": (
+        "CharacterTable", "ClassFunction", "ConjClass", "InvalidKernel",
+        "NotACharacter", "TableFormatError", "TableMismatch",
+        "TableValidationError", "VerificationReport", "decompose", "dual",
+        "fs_indicator", "inner_product", "is_symplectic", "kernel_classes",
+        "proportional_on_classes", "quotient_table", "render_table_text",
+        "table_from_json", "table_to_json", "verify_table"),
+    "catalog": (
+        "GroupSpecError", "binary_icosahedral_table", "binary_octahedral_table",
+        "binary_tetrahedral_table", "catalog_specs", "cyclic_table",
+        "dicyclic_table", "direct_product", "natural_rep", "parse_group_spec",
+        "regular_rep"),
+    "mckay": (
+        "InternalInconsistency", "McKayQuiver", "PrincipalComponent",
+        "character_walk_matrix", "component_count", "component_partition",
+        "dual_action_simply_transitive", "dual_group_action",
+        "dual_reversal_check", "eigen_check", "mckay_matrix",
+        "principal_component", "walk_matrix", "walk_multiplicity"),
+    "quiver": (
+        "Quiver", "QuiverFormatError", "WeightVector", "ade_classify",
+        "automorphism_orbits", "char_poly", "find_isomorphism",
+        "is_strongly_connected", "k_weight_vector", "quiver_isomorphic",
+        "reduced_weight_vector", "strongly_connected_components", "to_dot",
+        "weakly_connected_components"),
+    "galois": (
+        "NOT_SOLVABLE", "NonsolvabilityCertificate", "SOLVABLE",
+        "SolvabilityVerdict", "UNKNOWN", "component_solvability",
+        "replay_certificate", "solvability"),
+    "obstructions": (
+        "BatteryTest", "ObstructionReport", "mckay_obstruction_battery"),
+}
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    """A public name, read from its owning module (imported on first use)."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -711,12 +711,17 @@ def table_from_json(data, force: bool = False) -> CharacterTable:
                     f"the table's values need conductor {E}, above {MAX_CONDUCTOR}")
         return parsed[s]
 
+    def name(s):
+        if type(s) is not str:
+            raise TypeError(f"a name must be a string, not {s!r}")
+        return s
+
     try:
-        classes = [ConjClass(name=str(c["name"]), size=c["size"],
+        classes = [ConjClass(name=name(c["name"]), size=c["size"],
                              power2=c["power2"], inverse=c["inverse"])
                    for c in data["classes"]]
         rows = [[value(s) for s in row] for row in data["characters"]]
-        t = CharacterTable(data["name"], data["order"], classes, rows)
+        t = CharacterTable(name(data["name"]), data["order"], classes, rows)
     except (KeyError, TypeError, ValueError, CyclotomicSyntaxError) as ex:
         if isinstance(ex, TableFormatError):
             raise

@@ -6,6 +6,8 @@ obstruction battery, `verify` checks a table file.  Exit codes are a
 stable contract: 0 success or all checks passed, 1 some check failed
 or was inconclusive, 2 bad input, 3 an internal consistency assertion
 tripped or a table file failed verification without `--force`.
+Each subcommand imports the library layers it uses when it runs, so a
+process loads only those.
 
 Vertex and irreducible indices are 1-based in every report; JSON output
 is deterministic (sorted keys, fixed indentation).
@@ -16,21 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .catalog import GroupSpecError, natural_rep, parse_group_spec, regular_rep
-from .chartab import (
-    CharacterTable,
-    TableFormatError,
-    TableValidationError,
-    render_table_text,
-    table_from_json,
-    table_to_json,
-)
-from .galois import DEFAULT_PRIME_BUDGET
-from .mckay import InternalInconsistency, McKayQuiver
-from .obstructions import QuiverAnalysis, mckay_obstruction_battery
-from .polynomials import MAX_FACTOR_DEGREE
-from .quiver import Quiver, QuiverFormatError, ade_classify, to_dot
 
 
 def _json_text(obj) -> str:
@@ -64,19 +51,23 @@ def _emit(args, rendered: dict[str, str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_table(args) -> CharacterTable:
+def _load_table(args):
     if getattr(args, "table", None):
+        from .chartab import table_from_json
         with open(args.table, encoding="utf-8") as fh:
             return table_from_json(fh.read(), force=args.force)
+    from .catalog import GroupSpecError, parse_group_spec
     if not args.group:
         raise GroupSpecError("give a group spec or --table FILE")
     return parse_group_spec(args.group)
 
 
-def _load_quiver(path: str) -> Quiver:
+def _load_quiver(path: str):
     """The quiver in a file.  One with more than MAX_FACTOR_DEGREE
     vertices is rejected here, before any analysis, because its char
     poly could not be factored."""
+    from .polynomials import MAX_FACTOR_DEGREE
+    from .quiver import Quiver
     with open(path, encoding="utf-8") as fh:
         q = Quiver.from_json(fh.read())
     if q.n > MAX_FACTOR_DEGREE:
@@ -85,11 +76,13 @@ def _load_quiver(path: str) -> Quiver:
     return q
 
 
-def _resolve_rep(t: CharacterTable, text: str) -> tuple[int, ...]:
+def _resolve_rep(t, text: str) -> tuple[int, ...]:
     text = text.strip()
     if text == "natural":
+        from .catalog import natural_rep
         return natural_rep(t)
     if text == "regular":
+        from .catalog import regular_rep
         return regular_rep(t)
     try:
         if "," in text:
@@ -109,6 +102,7 @@ def _resolve_rep(t: CharacterTable, text: str) -> tuple[int, ...]:
 
 
 def cmd_table(args) -> int:
+    from .chartab import render_table_text, table_to_json
     t = _load_table(args)
     _emit(args, {"text": render_table_text(t) + "\n",
                  "json": _json_text(table_to_json(t))})
@@ -116,6 +110,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    from .mckay import McKayQuiver
+    from .quiver import to_dot
     t = _load_table(args)
     mq = McKayQuiver(t, _resolve_rep(t, args.rep))
     q = mq.to_quiver()
@@ -130,7 +126,7 @@ def cmd_quiver(args) -> int:
     return 0
 
 
-def _analyze_report(q: Quiver, prime_budget: int) -> dict:
+def _analyze_report(q, prime_budget: int) -> dict:
     """The analyze report, with the battery's report embedded.
 
     One QuiverAnalysis serves the report and the battery, so the strong
@@ -140,6 +136,8 @@ def _analyze_report(q: Quiver, prime_budget: int) -> dict:
     component is the whole quiver, whose polynomial and verdict the
     report has already computed.
     """
+    from .obstructions import QuiverAnalysis
+    from .quiver import ade_classify
     a = QuiverAnalysis(q, prime_budget)
     components = []
     for comp in a.weak_components:
@@ -203,22 +201,31 @@ def _analyze_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _prime_budget(args) -> int:
+    """--prime-budget, or the library default when it was not given (the
+    parser leaves it None so that building the parser loads no layer)."""
+    from .galois import DEFAULT_PRIME_BUDGET
+    return DEFAULT_PRIME_BUDGET if args.prime_budget is None else args.prime_budget
+
+
 def cmd_analyze(args) -> int:
     q = _load_quiver(args.quiver_file)
-    report = _analyze_report(q, args.prime_budget)
+    report = _analyze_report(q, _prime_budget(args))
     _emit(args, {"text": _analyze_text(report), "json": _json_text(report)})
     return 0
 
 
 def cmd_check_mckay(args) -> int:
+    from .obstructions import mckay_obstruction_battery
     q = _load_quiver(args.quiver_file)
-    report = mckay_obstruction_battery(q, args.prime_budget)
+    report = mckay_obstruction_battery(q, _prime_budget(args))
     _emit(args, {"text": str(report) + "\n",
                  "json": _json_text(report.to_json())})
     return 0 if all(t.status == "pass" for t in report.tests) else 1
 
 
 def cmd_verify(args) -> int:
+    from .chartab import table_from_json
     with open(args.table_file, encoding="utf-8") as fh:
         report = table_from_json(fh.read(), force=True).verification
     _emit(args, {"text": str(report) + "\n",
@@ -267,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="full analysis of a quiver file")
     sp.add_argument("quiver_file")
-    sp.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET,
+    sp.add_argument("--prime-budget", type=int,
                     help="prime search bound for solvability verdicts")
     add_common(sp, ("text", "json"))
     sp.set_defaults(func=cmd_analyze)
@@ -275,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-mckay",
                         help="run the McKay obstruction battery on a quiver file")
     sp.add_argument("quiver_file")
-    sp.add_argument("--prime-budget", type=int, default=DEFAULT_PRIME_BUDGET)
+    sp.add_argument("--prime-budget", type=int)
     add_common(sp, ("text", "json"))
     sp.set_defaults(func=cmd_check_mckay)
 
@@ -287,18 +294,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _loaded(module: str, name: str) -> tuple[type, ...]:
+    """The exception class `name` of mckayq.`module` if that module has
+    been loaded, else none: a class whose module never loaded cannot
+    have been raised, so the dispatch in `main` loads no layer."""
+    mod = sys.modules.get(f"mckayq.{module}")
+    return (getattr(mod, name),) if mod else ()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TableValidationError as ex:
+    except _loaded("chartab", "TableValidationError") as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 3
-    except (InternalInconsistency, AssertionError) as ex:
+    except (*_loaded("mckay", "InternalInconsistency"), AssertionError) as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return 3
-    except (GroupSpecError, TableFormatError, QuiverFormatError, OSError,
-            ValueError) as ex:
+    except (OSError, ValueError) as ex:
+        # GroupSpecError, TableFormatError and QuiverFormatError are ValueErrors
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -114,6 +114,9 @@ class Quiver:
         if not isinstance(data, dict):
             raise QuiverFormatError("quiver JSON must be an object")
         try:
+            for v in data["vertices"]:
+                if type(v) is not str:
+                    raise TypeError(f"a vertex name must be a string, not {v!r}")
             return Quiver(data["vertices"], data["adjacency"], data.get("weights"))
         except (KeyError, TypeError, ValueError) as ex:
             raise QuiverFormatError(f"malformed quiver JSON: {ex}") from ex

@@ -14,8 +14,9 @@ import pytest
 from mckayq.catalog import dicyclic_table, natural_rep, parse_group_spec
 from mckayq.chartab import table_to_json
 from mckayq.cli import main
-from mckayq.mckay import McKayQuiver
-from mckayq.obstructions import mckay_obstruction_battery
+from mckayq.galois import DEFAULT_PRIME_BUDGET
+from mckayq.mckay import InternalInconsistency, McKayQuiver
+from mckayq.obstructions import QuiverAnalysis, mckay_obstruction_battery
 from mckayq.quiver import Quiver
 
 
@@ -206,6 +207,21 @@ def test_analyze_missing_file(capsys, tmp_path):
     assert code == 2 and "non-negative integers" in err
 
 
+@pytest.mark.parametrize("argv, owner, method, exc", [
+    (["quiver", "BD:12"], McKayQuiver, "to_quiver", InternalInconsistency),
+    (["analyze", "QUIVER"], QuiverAnalysis, "battery", AssertionError),
+], ids=["quiver", "analyze"])
+def test_an_internal_failure_exits_3(capsys, monkeypatch, bd12_quiver_file,
+                                     argv, owner, method, exc):
+    def fail(*args):
+        raise exc("the two routes disagree")
+    monkeypatch.setattr(owner, method, fail)
+    argv = [bd12_quiver_file if a == "QUIVER" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "internal error: the two routes disagree\n"
+
+
 # -- check-mckay --------------------------------------------------------------------
 
 
@@ -311,6 +327,25 @@ def test_table_json_needs_json_integers(capsys, tmp_path, field, value, command)
     assert "malformed table JSON" in err
 
 
+@pytest.mark.parametrize("command, kind, edit", [
+    (["verify"], "table", lambda d: d.update(name=[1, 2])),
+    (["table", "--table"], "table", lambda d: d["classes"][1].update(name=5.5)),
+    (["analyze"], "quiver", lambda d: d.update(vertices=[1, [2]])),
+    (["check-mckay"], "quiver", lambda d: d.update(vertices=[1, [2]])),
+], ids=["table-name", "class-name", "analyze-vertex", "check-mckay-vertex"])
+def test_names_in_files_must_be_strings(capsys, tmp_path, command, kind, edit):
+    if kind == "table":
+        data = table_to_json(parse_group_spec("C:2"))
+    else:
+        data = {"vertices": ["a", "b"], "adjacency": [[0, 1], [1, 0]]}
+    edit(data)
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == ""
+    assert f"malformed {kind} JSON" in err and "must be a string" in err
+
+
 def test_verify_a_one_class_table_of_e1018(tmp_path):
     # E(1018) = -E(509)^255: its conductor descends in closed form
     path = tmp_path / "e1018.json"
@@ -399,6 +434,21 @@ def test_prime_budget_above_the_bound_exits_2(bd12_quiver_file, command):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ("error: prime budget 1000001 is above the "
                            "supported bound 1000000\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-mckay"])
+def test_prime_budget_defaults_to_the_library_default(capsys, monkeypatch,
+                                                      bd12_quiver_file, command):
+    budgets = []
+    battery = QuiverAnalysis.battery
+
+    def spy(self):
+        budgets.append(self.prime_budget)
+        return battery(self)
+    monkeypatch.setattr(QuiverAnalysis, "battery", spy)
+    run(capsys, command, bd12_quiver_file)
+    run(capsys, command, bd12_quiver_file, "--prime-budget", "50")
+    assert budgets == [DEFAULT_PRIME_BUDGET, 50]
 
 
 def random_regular(n: int, d: int, seed: int) -> list[list[int]]:
