@@ -33,10 +33,12 @@ print("phi^2 - phi  =", phi * phi - phi)            # = 1, its minimal polynomia
 # rational values come back out as plain rationals
 print("as rational  :", (phi * phi - phi).to_rational() == Fraction(1))
 
-# division is exact field division
-quot = Cyclotomic.one() / phi
-print("1/phi        =", quot)
-print("phi * 1/phi  =", phi * quot)
+# character values are algebraic integers, so there is no field division;
+# phi is a unit all the same: phi - 1 is its inverse in Z[zeta_5]
+print("phi - 1      =", phi - 1)
+print("phi*(phi-1)  =", phi * (phi - 1))            # = 1 on the nose
+# only a root of unity has negative powers: its inverse is its conjugate
+print("E(8)^-1      =", E(8) ** -1, " (conjugate:", E(8) ** -1 == E(8).conjugate(), ")")
 
 # strings round-trip through the parser
 text = str(2 * E(3) + 1)

@@ -7,7 +7,8 @@ trivial character first and the identity class first.
 
 Deep consistency (orthogonality, dimension counts, map/value coherence)
 is checked by verify_table, not by the constructor, so that suspect
-tables can be loaded, inspected and reported on.
+tables can be loaded, inspected and reported on.  The constructor checks
+shapes, class data, and that each value is an algebraic integer.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class CharacterTable:
             rows.append(row)
         if len(rows) != r:
             raise ValueError("need exactly as many characters as classes")
+        for v in {id(v): v for row in rows for v in row}.values():
+            if any(c.denominator != 1 for c in v.coeffs):
+                raise ValueError(f"{v} is not an algebraic integer, so no character value")
         for c in classes:
             if type(c.size) is not int or c.size < 1:
                 raise ValueError(f"class {c.name!r} has a bad size")
@@ -217,18 +221,18 @@ class ClassFunction:
 #
 # Every row is recognised (`row_of`, `product_rows`) on an image of the
 # table in Z/M: zeta_E -> g with Phi_E(g) = 0 mod M, M a product of
-# primes p = 1 mod E below 2^61 (`polynomials._crt_prime`) that divide
-# no denominator in play.  That is a ring map, so a miss proves that a
-# class function x, or a product x * chi_i, is no row.  A hit is exact
-# too.  Let D and D' be the lcm of the coefficient denominators of the
-# table (1 for a genuine table) and of x, and N and L the largest l1
-# norm of a dict of the table and of x.  For a difference delta from a
-# row at one class, D'D * delta is in Z[zeta_E] and each embedding of it
-# is at most B = D'D * (L + 1) * max(N, 1); the map's kernel has index
-# M, so a hit makes M divide its norm, at most ceil(B)^phi(E) < M, so
-# delta = 0.  M grows when a larger B arrives.  Misses are split by
-# exact `row_inner`; `verify_table`, `coords` and `mckay.eigen_check`
-# stay on the exact arithmetic.
+# primes p = 1 mod E below 2^61 (`polynomials._crt_prime`).  That is a
+# ring map, so a miss proves that a class function x, or a product
+# x * chi_i, is no row.  A hit is exact too.  The table's values are
+# algebraic integers (the constructor checks it), and `row_of` turns
+# away an x with a non-integer coefficient, which is no row.  Let N and
+# L be the largest l1 norm of a dict of the table and of x.  For a
+# difference delta from a row at one class, delta is in Z[zeta_E] and
+# each embedding of it is at most B = (L + 1) * max(N, 1); the map's
+# kernel has index M, so a hit makes M divide its norm, at most
+# B^phi(E) < M, so delta = 0.  M grows when a larger B arrives.  Misses
+# are split by exact `row_inner`; `verify_table`, `coords` and
+# `mckay.eigen_check` stay on the exact arithmetic.
 
 
 def _common_conductor(rows) -> int:
@@ -262,9 +266,7 @@ class _TableEngine(_Field):
                 forms[id(v)] = (d, x, self.galois(d, -1))
         self.vals, self.coords, self.conj_vals = (
             [[forms[id(v)][k] for v in row] for row in table.characters] for k in range(3))
-        dicts = [d for d, _, _ in forms.values()]
-        self.den = math.lcm(*(c.denominator for d in dicts for c in d.values()))  # D
-        self.norm = max(sum(map(abs, d.values())) for d in dicts)
+        self.norm = max(sum(map(abs, d.values())) for d, _, _ in forms.values())
         self.modulus = 1
         self.product_cache: dict[int, tuple] = {}
         self.dual_action: dict[int, tuple[int, ...]] | None = None
@@ -294,6 +296,8 @@ class _TableEngine(_Field):
 
     def row_of(self, dicts) -> int | None:
         """Index of the row with these values (exponent dicts), or None."""
+        if any(type(c) is not int for d in dicts for c in d.values()):
+            return None  # not an algebraic integer, so no row
         key = tuple(self._images(dicts))  # first, as it may rebuild the image
         return self.image_rows.get(key)
 
@@ -331,36 +335,28 @@ class _TableEngine(_Field):
                 for row in self.row_images]
 
     def _images(self, dicts) -> list[int]:
-        """The images of one call's dicts x, once M passes ceil(B)^phi(E)
-        and is prime to D'D (see the comment above)."""
-        norms = [sum(map(abs, d.values())) for d in dicts]
-        den = self.den
-        if any(type(x) is not int for x in norms):  # a Fraction coefficient
-            den *= math.lcm(*(c.denominator for d in dicts for c in d.values()))
-        target = math.ceil(den * (max(norms) + 1) * max(self.norm, 1)) ** self.phi
-        if target >= self.modulus or math.gcd(den, self.modulus) != 1:
-            self._build_image(target, den)
+        """The images of one call's integral dicts x, once M passes
+        B^phi(E) (see the comment above)."""
+        L = max(sum(map(abs, d.values())) for d in dicts)
+        target = ((L + 1) * max(self.norm, 1)) ** self.phi
+        if target >= self.modulus:
+            self._build_image(target)
         return [self.image(d) for d in dicts]
 
     def image(self, d: dict) -> int:
-        """The image of an exponent dict mod M; a Fraction maps to its
-        numerator times the inverse of its denominator."""
-        s = sum(c * self.g_powers[e] for e, c in d.items())
-        if type(s) is not int:
-            s = s.numerator * pow(s.denominator, -1, self.modulus)
-        return s % self.modulus
+        """The image of an integral exponent dict mod M."""
+        return sum(c * self.g_powers[e] for e, c in d.items()) % self.modulus
 
-    def _build_image(self, target: int, avoid: int) -> None:
-        """Make M the product of the first primes _crt_prime(i, E) that do
-        not divide `avoid` and pass `target`, and rebuild the images."""
+    def _build_image(self, target: int) -> None:
+        """Make M the product of the first primes _crt_prime(i, E) that
+        pass `target`, and rebuild the images."""
         n, M, g, i = self.exponent, 1, 0, 0
         while M <= target:
             p, i = _crt_prime(i, n), i + 1
-            if avoid % p:
-                # a^((p-1)/n) has order n unless its (n/q)-th power is 1
-                h = next(h for h in (pow(a, (p - 1) // n, p) for a in range(2, p))
-                         if all(pow(h, n // q, p) != 1 for q in prime_factors(n)))
-                (g,), M = crt([g], M, [h], p), M * p
+            # a^((p-1)/n) has order n unless its (n/q)-th power is 1
+            h = next(h for h in (pow(a, (p - 1) // n, p) for a in range(2, p))
+                     if all(pow(h, n // q, p) != 1 for q in prime_factors(n)))
+            (g,), M = crt([g], M, [h], p), M * p
         if sum(c * pow(g, k, M) for k, c in enumerate(cyclotomic_polynomial(n))) % M:
             raise ArithmeticError(f"Phi_{n}(g) is not 0 mod {M}")
         self.modulus, self.g, self.g_powers = M, g, [pow(g, e, M) for e in range(n)]
@@ -534,7 +530,7 @@ def verify_table(t: CharacterTable) -> VerificationReport:
     dims_ok = True
     for i in range(r):
         v = t.characters[i][0]
-        if not (v.is_rational and v.to_rational().denominator == 1 and v.to_rational() >= 1):
+        if not (v.is_rational and v.to_rational() >= 1):  # integral, as every value is
             problems.append(f"row {i + 1} has a bad identity value {v}")
             dims_ok = False
     if t.classes[0].power2 != 0 or t.classes[0].inverse != 0:

@@ -17,7 +17,8 @@ coordinates.  `Cyclotomic` objects and the character-table engine
 
 Text form follows the E(n) grammar: E(12)^7-E(12)^5, 1/2*E(4)+3, etc.
 Parsed conductors are bounded by MAX_CONDUCTOR and parsed powers of
-values other than E(n) by MAX_POWER and MAX_POWER_BITS.
+values other than E(n) by MAX_POWER and MAX_POWER_BITS.  There is no
+division, and only a root of unity x has negative powers, x^-k = conj(x)^k.
 """
 
 from __future__ import annotations
@@ -216,45 +217,6 @@ def _minimize(n: int, coeffs) -> tuple[int, tuple[Fraction, ...]]:
     return 1, coeffs[:1]
 
 
-def _q_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        f = a[k + len(b) - 1] * inv
-        q[k] = f
-        if f:
-            for i, bc in enumerate(b):
-                a[k + i] -= f * bc
-    while a and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_xgcd(f: list[Fraction], g: list[Fraction]):
-    """Half of the extended gcd over Q[x]: (gcd, u) with u*f = gcd mod g.
-    Each remainder is made monic, and its cofactor scaled with it, before
-    it divides: unnormalised remainders over Q grow coefficients whose
-    size explodes with the degree."""
-    r0, r1 = list(f), list(g)
-    while r0 and not r0[-1]:
-        r0.pop()
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        # u0 - q*u1
-        u = u0 + [Fraction(0)] * max(0, len(q) + len(u1) - 1 - len(u0))
-        for i, qi in enumerate(q):
-            for j, uj in enumerate(u1):
-                u[i + j] -= qi * uj
-        if r:
-            inv = 1 / r[-1]
-            r, u = [c * inv for c in r], [c * inv for c in u]
-        r0, r1 = r1, r
-        u0, u1 = u1, u
-    return r0, u0
-
-
 class Cyclotomic:
     """An element of some Q(zeta_n), canonically represented."""
 
@@ -367,39 +329,17 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclotomic":
-        if self.is_zero:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        if self.conductor == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
-        n = self.conductor
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        g, u = _poly_xgcd(list(self.coeffs), phi_poly)
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible mod Phi_n")
-        scale = 1 / g[0]
-        # u has degree below phi(n); reduce_dict pads it to the basis
-        return Cyclotomic(n, _Field(n).reduce_dict([c * scale for c in u]))
-
-    def __truediv__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = _ONE
         base = self
+        if k < 0:
+            # only a root of unity: by Kronecker, an x with integer
+            # coordinates and x * conj(x) = 1 is one, and its inverse is conj(x)
+            base, k = self.conjugate(), -k
+            if any(c.denominator != 1 for c in self.coeffs) or self * base != 1:
+                raise ValueError("a negative power needs a root of unity")
+        result = _ONE
         while k:
             if k & 1:
                 result = result * base
@@ -542,9 +482,11 @@ class _Parser:
             bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in value.coeffs)
             if abs(k) * bits > MAX_POWER_BITS:
                 self.error(f"x^{k} of a {bits}-bit x is above {MAX_POWER_BITS} bits", kpos)
-            if k < 0 and value.is_zero:
-                self.error("zero to a negative power", kpos)
-            value = value ** k
+            try:
+                value = value ** k
+            except ValueError:
+                self.error("zero to a negative power" if value.is_zero
+                           else "a negative power needs a root of unity", kpos)
         return value
 
     def primary(self) -> Cyclotomic:
@@ -585,11 +527,11 @@ def parse_cyclotomic(text: str) -> Cyclotomic:
     """Parse the E(n) grammar; raises CyclotomicSyntaxError with a position.
 
     E(n)^k evaluates directly to the root of unity zeta_n^k, for any k;
-    any other x^k with |k| above MAX_POWER, or |k| times the bit length
-    of x's largest numerator or denominator above MAX_POWER_BITS, is
-    rejected at the position of k.  An n, or a conductor of the whole
-    value, above MAX_CONDUCTOR is rejected at the position of that n,
-    before any arithmetic in Q(zeta_n) is set up."""
+    any other x^k with |k| above MAX_POWER, |k| times the bit length of
+    x's largest numerator or denominator above MAX_POWER_BITS, or k < 0
+    and x no root of unity, is rejected at the position of k.  An n, or
+    a conductor of the whole value, above MAX_CONDUCTOR is rejected at
+    the position of that n, before any arithmetic in Q(zeta_n) is set up."""
     p = _Parser(text)
     value = p.expr()
     p.skip_ws()

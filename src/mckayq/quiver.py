@@ -27,6 +27,12 @@ from .linalg import crt, nullspace_mod, rational_reconstruction
 from .polynomials import IntPolynomial, _crt_prime, _sym, factor_over_Q
 
 
+# Largest bit length of `_char_poly`'s coefficient bound: catalog quivers
+# of up to 64 classes need 386; 64 vertices with half their entries 10^6
+# need about 1,600, and with entries 10^30 about 6,700.
+MAX_CHAR_POLY_BITS = 2048
+
+
 class QuiverFormatError(ValueError):
     """Malformed quiver JSON."""
 
@@ -114,6 +120,8 @@ class Quiver:
         if not isinstance(data, dict):
             raise QuiverFormatError("quiver JSON must be an object")
         try:
+            if type(data["vertices"]) is not list:
+                raise TypeError("the vertices must be a list")
             for v in data["vertices"]:
                 if type(v) is not str:
                     raise TypeError(f"a vertex name must be a string, not {v!r}")
@@ -425,10 +433,13 @@ def _char_poly(A) -> list[int]:
     eigenvalues, is at most C(n, k) * R^k in absolute value.  The
     residues modulo word-sized primes are combined by CRT until the
     modulus exceeds twice the largest of these bounds; the symmetric
-    residues are then the coefficients themselves."""
+    residues are then the coefficients themselves.  A bound of more than
+    MAX_CHAR_POLY_BITS bits raises ValueError before any prime."""
     n = len(A)
     R = max((sum(abs(v) for v in row) for row in A), default=0)
     bound = 2 * max(comb(n, k) * R ** k for k in range(n + 1))
+    if bound.bit_length() > MAX_CHAR_POLY_BITS:
+        raise ValueError(f"char poly bound of {bound.bit_length()} bits, above {MAX_CHAR_POLY_BITS}")
     coeffs, M, used = [0] * (n + 1), 1, 0
     while M <= bound:
         p = _crt_prime(used)

@@ -292,6 +292,31 @@ def test_verify_zero_to_a_negative_power(tmp_path, value):
     assert "zero to a negative power" in proc.stderr
 
 
+@pytest.mark.parametrize("value, command", [
+    ("1/2", ["verify"]),
+    ("1/2", ["table", "--force", "--table"]),
+    ("1/2", ["quiver", "--force", "--rep", "1", "--table"]),
+    ("1/2", ["quiver", "--force", "--rep", "2", "--table"]),
+    ("(2)^-1", ["verify"]),
+], ids=["verify", "table-force", "quiver-force-rep-1", "quiver-force-rep-2",
+        "verify-inverse"])
+def test_non_integral_table_values_exit_2(tmp_path, value, command):
+    # C:3 with its last row (1, value, value): no algebraic integer, so no
+    # character value, with or without --force
+    data = table_to_json(parse_group_spec("C:3"))
+    data["characters"][2] = [1, value, value]
+    path = tmp_path / "fractions.json"
+    path.write_text(json.dumps(data))
+    proc = run_process(*command, str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: malformed table JSON: ")
+    if value == "1/2":
+        assert "1/2 is not an algebraic integer" in proc.stderr
+    else:
+        assert "a negative power needs a root of unity (at position 4)" in proc.stderr
+
+
 @pytest.mark.parametrize("command", [["verify"], ["analyze"], ["check-mckay"],
                                      ["table", "--table"]])
 def test_deeply_nested_json_exits_2(tmp_path, command):
@@ -327,13 +352,18 @@ def test_table_json_needs_json_integers(capsys, tmp_path, field, value, command)
     assert "malformed table JSON" in err
 
 
-@pytest.mark.parametrize("command, kind, edit", [
-    (["verify"], "table", lambda d: d.update(name=[1, 2])),
-    (["table", "--table"], "table", lambda d: d["classes"][1].update(name=5.5)),
-    (["analyze"], "quiver", lambda d: d.update(vertices=[1, [2]])),
-    (["check-mckay"], "quiver", lambda d: d.update(vertices=[1, [2]])),
-], ids=["table-name", "class-name", "analyze-vertex", "check-mckay-vertex"])
-def test_names_in_files_must_be_strings(capsys, tmp_path, command, kind, edit):
+@pytest.mark.parametrize("command, kind, edit, message", [
+    (["verify"], "table", lambda d: d.update(name=[1, 2]), "must be a string"),
+    (["table", "--table"], "table", lambda d: d["classes"][1].update(name=5.5),
+     "must be a string"),
+    (["analyze"], "quiver", lambda d: d.update(vertices=[1, [2]]), "must be a string"),
+    (["check-mckay"], "quiver", lambda d: d.update(vertices=[1, [2]]), "must be a string"),
+    (["analyze"], "quiver", lambda d: d.update(vertices="ab"), "must be a list"),
+    (["check-mckay"], "quiver", lambda d: d.update(vertices={"a": 1, "b": 2}),
+     "must be a list"),
+], ids=["table-name", "class-name", "analyze-vertex", "check-mckay-vertex",
+        "analyze-vertex-string", "check-mckay-vertex-dict"])
+def test_names_in_files_must_be_strings(capsys, tmp_path, command, kind, edit, message):
     if kind == "table":
         data = table_to_json(parse_group_spec("C:2"))
     else:
@@ -343,7 +373,7 @@ def test_names_in_files_must_be_strings(capsys, tmp_path, command, kind, edit):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *command, str(path))
     assert code == 2 and out == ""
-    assert f"malformed {kind} JSON" in err and "must be a string" in err
+    assert f"malformed {kind} JSON" in err and message in err
 
 
 def test_verify_a_one_class_table_of_e1018(tmp_path):
@@ -358,6 +388,24 @@ def test_verify_a_one_class_table_of_e1018(tmp_path):
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     assert proc.returncode == 1 and proc.stderr == ""
     assert "-E(509)^255" in proc.stdout
+    assert cpu < 2.0, cpu
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-mckay"])
+def test_huge_arrows_exit_2_before_the_char_poly(tmp_path, command):
+    """64 vertices with half their entries 10^30: the char poly's
+    coefficient bound has about 6,700 bits, above MAX_CHAR_POLY_BITS."""
+    path = tmp_path / "huge.json"
+    big = [[10 ** 30 * ((i + j) % 2) for j in range(64)] for i in range(64)]
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(64)],
+                                "adjacency": big}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = run_process(command, str(path))
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "bits, above 2048" in proc.stderr
     assert cpu < 2.0, cpu
 
 

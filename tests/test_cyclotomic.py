@@ -1,5 +1,5 @@
 """Exact cyclotomic arithmetic against a floating-point oracle and the
-field axioms."""
+ring axioms."""
 
 import cmath
 import math
@@ -208,15 +208,24 @@ def test_rationality():
 
 
 def test_division():
-    a = 1 + E(3)
-    assert a / a == 1
-    assert (E(4) / E(4)) == 1
-    inv = (2 + E(7)).inverse()
-    assert inv * (2 + E(7)) == 1
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.one() / Cyclotomic.zero()
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.zero().inverse()
+    # no field division: a character value is an algebraic integer, and
+    # only a root of unity, whose inverse is its conjugate, has x^-1
+    with pytest.raises(TypeError):
+        E(4) / E(4)
+    with pytest.raises(TypeError):
+        1 / E(3)
+    assert E(4) ** -1 == E(4).conjugate() == -E(4)
+    assert (-E(7, 2)) ** -3 == (-E(7, 2)).conjugate() ** 3
+    for x in (2 + E(7), Cyclotomic.zero(), Fraction(1, 2) * E(4),
+              Fraction(3, 5) + Fraction(4, 5) * E(4)):
+        with pytest.raises(ValueError, match="needs a root of unity"):
+            x ** -1
+
+
+def is_root_of_unity(a: Cyclotomic) -> bool:
+    """By enumeration: the roots of unity in Q(zeta_n) are the E(2n)^k."""
+    m = 2 * a.conductor
+    return any(a == E(m, k) for k in range(m))
 
 
 def test_galois_and_conjugation():
@@ -249,8 +258,6 @@ def test_arithmetic_matches_float_oracle(a, b, k):
     z = cmath.exp(2j * cmath.pi / a.conductor)
     at_zk = sum(float(c) * z ** (k * j) for j, c in enumerate(a.coeffs))
     assert abs(at_zk - approx(a.galois(k))) < 1e-6
-    if not a.is_zero:
-        assert abs(approx(a) * approx(a.inverse()) - 1) < 1e-6
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,9 +267,6 @@ def test_field_axioms(a):
     assert a * Cyclotomic.one() == a
     assert a - a == 0
     assert -(-a) == a
-    if not a.is_zero:
-        assert a * a.inverse() == 1
-        assert (a.inverse()).inverse() == a
 
 
 @settings(max_examples=100, deadline=None)
@@ -317,20 +321,30 @@ def test_parse_bounds_powers():
         assert time.process_time() - start < 0.1
         assert err.value.position == text.index("^") + 1
     assert parse_cyclotomic(f"(2)^{MAX_POWER}") == 2 ** MAX_POWER
-    assert parse_cyclotomic(f"(2)^-{MAX_POWER}") == Fraction(1, 2 ** MAX_POWER)
     # E(n)^k is a root of unity: any k
     assert parse_cyclotomic("E(7)^100000000") == E(7) ** (100000000 % 7)
     assert parse_cyclotomic("E(7)^-100000001") == E(7, -100000001)
 
 
 def test_inverse_of_a_large_power_is_fast():
-    # a short value within MAX_POWER and MAX_POWER_BITS whose inverse
-    # needs the extended gcd of two polynomials of degree 64 over Q
-    text = "((1+E(128)+2*E(128)^3)^20)^-1"
-    start = time.process_time()
-    inv = parse_cyclotomic(text)
-    assert time.process_time() - start < 1.0
-    assert inv * parse_cyclotomic(text[1:-4]) == 1
+    # short values within MAX_POWER and MAX_POWER_BITS that are no roots
+    # of unity: rejected at k, without printing the value; the last one
+    # took minutes when the parser inverted it by an extended gcd over Q
+    for text in ("(3/5+4/5*E(4))^-1", "(2+E(1021))^-1",
+                 "((1+E(1021)+2*E(1021)^3)^16)^-1"):
+        start = time.process_time()
+        with pytest.raises(CyclotomicSyntaxError) as err:
+            parse_cyclotomic(text)
+        assert time.process_time() - start < 0.5, text
+        assert str(err.value) == ("a negative power needs a root of unity "
+                                  f"(at position {text.rindex('^') + 1})")
+
+
+def test_negative_powers_of_roots_of_unity_are_conjugate_powers():
+    for text, x, k in (("(E(4))^-1", E(4), 1), ("(-1)^-3", -Cyclotomic.one(), 3),
+                       ("(E(1021)^5)^-7", E(1021, 5), 7),
+                       ("(-E(12)^5)^-2", -E(12, 5), 2)):
+        assert parse_cyclotomic(text) == x.conjugate() ** k == x ** -k
 
 
 def test_parse_bounds_the_size_of_powers():
@@ -358,5 +372,8 @@ def test_power_consistency(a):
     assert a ** 0 == 1
     assert a ** 1 == a
     assert a ** 3 == a * a * a
-    if not a.is_zero:
-        assert a ** -2 == (a.inverse()) ** 2
+    if is_root_of_unity(a):
+        assert a ** -2 == a.conjugate() ** 2
+    else:
+        with pytest.raises(ValueError):
+            a ** -2

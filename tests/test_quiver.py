@@ -786,7 +786,9 @@ def test_json_round_trip():
                 '{"vertices": ["a"], "adjacency": [[true]]}',
                 '{"vertices": ["a"], "adjacency": [[1]], "weights": [true]}',
                 '{"vertices": ["a", "a"], "adjacency": [[0, 0], [0, 0]]}',
-                '{"vertices": [1, [2]], "adjacency": [[0, 0], [0, 0]]}'):
+                '{"vertices": [1, [2]], "adjacency": [[0, 0], [0, 0]]}',
+                '{"vertices": "ab", "adjacency": [[0, 1], [1, 0]]}',
+                '{"vertices": {"a": 1, "b": 2}, "adjacency": [[0, 1], [1, 0]]}'):
         with pytest.raises(QuiverFormatError):
             Quiver.from_json(bad)
 

@@ -12,7 +12,6 @@ table) is computed once.
 """
 
 import json
-import math
 import time
 from fractions import Fraction
 
@@ -319,9 +318,14 @@ def _tampered_c2xc2():
     return chartab.CharacterTable("C2xC2-tampered", 4, t.classes, rows)
 
 
-@pytest.mark.parametrize("make", [
-    _duplicated_c2, _tampered_c2xc2,
-    lambda: _table_with_denominator(2), lambda: _table_with_denominator(7)])
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as ex:
+        return type(ex), str(ex)
+
+
+@pytest.mark.parametrize("make", [_duplicated_c2, _tampered_c2xc2])
 def test_a_hostile_dual_action_fails_as_row_by_row(make):
     composed = _outcome(dual_group_action, make())
     assert composed == _outcome(per_row_action, make())
@@ -380,14 +384,12 @@ def _primes_of(eng):
 
 
 def _check_modulus(eng, bound):
-    """M > bound^phi(E), M a product of primes from `_crt_prime` that
-    divide no denominator of the table, and zeta_E -> g is a ring map:
-    Phi_E(g) = 0 mod M."""
+    """M > bound^phi(E), M a product of primes from `_crt_prime`, and
+    zeta_E -> g is a ring map: Phi_E(g) = 0 mod M."""
     M = eng.modulus
     assert M > bound ** eng.phi
     for p in _primes_of(eng):
         assert (p - 1) % eng.exponent == 0 and p < 1 << 61 and is_prime(p)
-        assert eng.den % p
     phi = cyclotomic_polynomial(eng.exponent)
     assert sum(c * pow(eng.g, k, M) for k, c in enumerate(phi)) % M == 0
 
@@ -414,7 +416,6 @@ def test_image_route_matches_exact_route(monkeypatch, spec):
     moduli = _route_pairs(monkeypatch)
     t = parse_group_spec(spec)
     eng = t._engine()
-    assert eng.den == 1
     assert dual_group_action(t) == exact_dual_action(t)
     for k in range(t.n_classes):
         assert mckay_matrix(t, [int(i == k) for i in range(t.n_classes)]) == \
@@ -457,7 +458,7 @@ def test_a_modulus_below_the_bound_is_rejected(monkeypatch):
     real = chartab._crt_prime
     monkeypatch.setattr(chartab, "_crt_prime",
                         lambda i, n: 5 if i == 0 else real(i - 1, n))
-    eng._build_image(4, 1)
+    eng._build_image(4)
     assert eng.modulus == 5 and eng.g == 2
     assert eng.image({0: 1, 1: 2}) == eng.image({}) == 0
     left = [{0: 2, 1: 2}] * 4
@@ -473,63 +474,35 @@ def test_a_modulus_below_the_bound_is_rejected(monkeypatch):
         exact_products(t, left)
 
 
-def _table_with_denominator(p):
-    """C:3 with its last row replaced by (1, 1/p, 1/p): no character table,
-    and a coefficient that is not an integer."""
+@pytest.mark.parametrize("p", [2, chartab._crt_prime(0, 3)], ids=["half", "crt-prime"])
+def test_a_table_with_fractions_is_rejected(p):
+    # a value with a non-integer coordinate is no algebraic integer, so no
+    # character value: the constructor rejects it, and table_from_json
+    # with or without force
     t = cyclic_table(3)
     rows = [t.characters[0], t.characters[1], (1, Fraction(1, p), Fraction(1, p))]
-    return chartab.CharacterTable("C3-half" if p == 2 else f"C3-{p}", 3, t.classes, rows)
+    with pytest.raises(ValueError, match=f"1/{p} is not an algebraic integer"):
+        chartab.CharacterTable("C3-frac", 3, t.classes, rows)
+    data = table_to_json(cyclic_table(3))
+    data["characters"][2] = [1, f"1/{p}", f"1/{p}"]
+    for force in (False, True):
+        with pytest.raises(TableFormatError, match="is not an algebraic integer"):
+            table_from_json(data, force=force)
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, RuntimeError) as ex:
-        return type(ex), str(ex)
-
-
-def _denominators(dicts):
-    return math.lcm(*(Fraction(c).denominator for d in dicts for c in d.values()))
-
-
-@pytest.mark.parametrize("p", [2, chartab._crt_prime(0, 3)], ids=["half", "crt-prime"])
-def test_a_table_with_fractions_is_recognised_on_the_image(p):
-    t = _table_with_denominator(p)
-    eng = t._engine()
-    assert eng.den == p and eng.norm == 1
-    for k in range(3):
-        left = eng.vals[k]
-        assert eng.product_rows(left) == [
-            exact_row(eng, [eng.mul(a, b) for a, b in zip(left, row)]) for row in eng.vals]
-        # B = D' * D * (L + 1) * max(N, 1), and no prime of M divides D
-        _check_modulus(eng, _denominators(left) * p * (max(_l1(d) for d in left) + 1))
-        assert p not in _primes_of(eng)
-        rho = [int(i == k) for i in range(3)]
-        assert _outcome(mckay_matrix, t, rho) == _outcome(exact_products, t, left)
-    for dicts in eng.vals + eng.conj_vals:
-        assert eng.row_of(dicts) == exact_row(eng, dicts)
-    assert _outcome(mckay_matrix, t, [0, 1, 0]) == (
-        ValueError, "product with row 2 does not decompose integrally; "
-                    "the table is not a character table")
-    assert _outcome(dual_group_action, t) == (
-        InternalInconsistency, f"row 2 * row 2 is not a row of {t.name}")
-    m = McKayQuiver(t, [1, 0, 0])
-    assert [character_walk_matrix(m, L) for L in range(4)] == [m.matrix] * 4
-
-
-def test_a_denominator_that_divides_M_rebuilds_it():
+def test_a_fractional_class_function_matches_no_row(monkeypatch):
     t = cyclic_table(3)
     eng = t._engine()
-    # an l1 norm of 2^62 makes M a product of three primes, more than the
-    # bound of f below needs
-    assert t.row_index([2 ** 62] * 3) is None
-    p = _primes_of(eng)[0]
-    f = t.irreducible(1) * Fraction(1, p)
-    assert len(_primes_of(eng)) == 3 and eng.modulus > (p + 1) ** eng.phi
-    assert_routes_agree(f)
-    with pytest.raises(NotACharacter, match=f"multiplicity of row 2 is 1/{p}"):
-        decompose(f)
-    assert p not in _primes_of(eng)
+    assert t.row_index([2 ** 62] * 3) is None  # M now has three primes
+    M, builds = eng.modulus, _counting(monkeypatch, chartab._TableEngine, "_build_image")
+    for q in (Fraction(1, 2), Fraction(2 ** 200 + 1, 2)):
+        f = t.irreducible(1) * q
+        assert eng.row_of([v.terms(3) for v in f.values]) is None
+        assert t.row_index(f.values) is None
+        assert_routes_agree(f)
+        with pytest.raises(NotACharacter, match=f"multiplicity of row 2 is {q}$"):
+            decompose(f)
+    assert eng.modulus == M and builds == []
     assert t.dual_index(1) == 2
 
 
